@@ -12,7 +12,7 @@ use nvtraverse::policy::{Durability, Izraelevitz, LinkPersist, NvTraverse, Soft,
 use nvtraverse::DurableSet;
 use nvtraverse_ebr::Collector;
 use nvtraverse_onefile::{TmBst, TmList};
-use nvtraverse_pmem::{stats, Clwb, Count, Noop, Sim};
+use nvtraverse_pmem::{Clwb, Count, Noop, Sim};
 use nvtraverse_structures::ellen_bst::EllenBst;
 use nvtraverse_structures::hash::HashMapDs;
 use nvtraverse_structures::list::{HarrisList, HarrisListOrigParent};
@@ -481,25 +481,23 @@ fn count_ops<S: DurableSet<u64, u64>>(make: impl FnOnce() -> S) -> (f64, f64) {
     prefill(&s, &cfg);
     use rand::prelude::*;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    // Snapshot delta, not reset(): the counters are process-global and
-    // monotone, so diffing is exact here (single-threaded) and never
-    // clobbers a concurrent measurement. See the stats module docs.
-    let before = stats::snapshot();
-    for _ in 0..OPS {
-        let k = rng.random_range(0..cfg.range);
-        match rng.random_range(0..100u32) {
-            0..=9 => {
-                s.insert(k, k);
-            }
-            10..=19 => {
-                s.remove(k);
-            }
-            _ => {
-                s.get(k);
+    // Exact counts of this thread's instructions (zero under NVT_OBS=off).
+    let (d, ()) = nvtraverse_obs::counted(|| {
+        for _ in 0..OPS {
+            let k = rng.random_range(0..cfg.range);
+            match rng.random_range(0..100u32) {
+                0..=9 => {
+                    s.insert(k, k);
+                }
+                10..=19 => {
+                    s.remove(k);
+                }
+                _ => {
+                    s.get(k);
+                }
             }
         }
-    }
-    let d = stats::snapshot().since(before);
+    });
     (d.flushes as f64 / OPS as f64, d.fences as f64 / OPS as f64)
 }
 
@@ -749,7 +747,7 @@ pub fn vet_summary(_mode: Mode) {
 pub const ALL_FIGURES: &[&str] = &[
     "fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig5f", "fig6g", "fig6h", "fig6i", "fig6j",
     "fig6k", "fig6l", "fig6m", "fig6n", "fig6o", "abl1", "abl2", "soft_vs_nvt",
-    "alloc_scaling", "pool_structs", "pool_shards", "persist_ops", "kv_service", "vet",
+    "alloc_scaling", "pool_structs", "pool_shards", "persist_ops", "vet",
 ];
 
 /// Runs one figure by id (or `all`).
@@ -781,7 +779,6 @@ pub fn run_figure(id: &str, mode: Mode) {
         "pool_structs" | "pool-structs" => crate::pool_structs::run(mode),
         "pool_shards" | "pool-shards" => crate::pool_shards::run(mode),
         "persist_ops" | "persist-ops" => crate::persist_ops::run(mode),
-        "kv_service" | "kv-service" => crate::kv_service::run(mode),
         "vet" | "vet_summary" | "vet-summary" => vet_summary(mode),
         "all" => {
             for f in ALL_FIGURES {

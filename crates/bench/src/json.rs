@@ -2,10 +2,10 @@
 //! writes them as one JSON document, so the performance trajectory of the
 //! repository can be tracked run over run (`figures --json BENCH_lists.json`).
 //!
-//! Hand-rolled serialization — the only strings involved are figure ids and
-//! series names we control, so a minimal escaper is enough and the crate
-//! stays dependency-free.
+//! Hand-rolled serialization (strings escaped by `nvtraverse_obs`), so the
+//! crate stays dependency-free.
 
+use nvtraverse_obs::json_escape as escape;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -42,21 +42,6 @@ pub fn record(figure: &str, series: &str, x: &str, metric: &str, value: f64) {
             value,
         });
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Writes the collected points to the enabled path and stops collecting.

@@ -24,16 +24,12 @@
 //! and [`persist_ops`] counts flushes/fences **per operation** for every
 //! pool-resident structure under both durable policies, attributed to the
 //! owning pool's `nvtraverse-obs` metric set (with per-phase splits):
-//! `figures --quick --json BENCH_persist_ops.json persist_ops` — and
-//! [`kv_service`] drives the `nvtraverse-server` KV front-end with
-//! YCSB-style zipfian load, sweeping policy × batch size × client
-//! threads to show fences/op falling toward 1/B under batching:
-//! `figures --quick --json BENCH_kv.json kv_service`.
+//! `figures --quick --json BENCH_persist_ops.json persist_ops`. The KV
+//! service is measured end to end by the separate `kvbench` package.
 
 pub mod alloc_scaling;
 pub mod figures;
 pub mod json;
-pub mod kv_service;
 pub mod persist_ops;
 pub mod pool_shards;
 pub mod pool_structs;

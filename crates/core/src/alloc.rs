@@ -14,9 +14,7 @@
 //!   brackets its allocating operations with [`PoolCtx::enter`]. Inside the
 //!   scope, [`alloc_node`] serves every node from *that structure's* pool
 //!   file; structures living in different pools allocate correctly from
-//!   different files **concurrently**, with no process-global state. (The
-//!   deprecated `Pool::install_as_default` still works as a process-wide
-//!   fallback for unscoped allocations.)
+//!   different files **concurrently**, with no process-global state.
 //! * [`free`] — together with the EBR collector's reclamation — returns each
 //!   pointer to the heap that issued it, found via
 //!   [`nvtraverse_pmem::heap::owner_of`]; no context needed, the address
@@ -87,10 +85,7 @@ impl std::fmt::Debug for PoolCtx {
 
 impl PoolCtx {
     /// The no-pool context: entering it clears any scoped target, so
-    /// allocations fall back to the deprecated process-wide installed pool
-    /// if one exists, else the Rust heap (`Box`) — exactly the
-    /// pre-multi-pool behaviour a legacy structure relies on. It does
-    /// **not** pin `Box` against an installed fallback.
+    /// allocations come from the Rust heap (`Box`).
     pub const fn volatile() -> Self {
         PoolCtx {
             target: None,
@@ -108,9 +103,9 @@ impl PoolCtx {
     }
 
     /// Snapshot of the allocation target in effect on this thread right
-    /// now (an enclosing [`PoolCtx::enter`] scope, else the deprecated
-    /// process-wide install, else volatile). Structure constructors call
-    /// this so a structure built inside a pool scope *remembers* its pool.
+    /// now (an enclosing [`PoolCtx::enter`] scope, else volatile).
+    /// Structure constructors call this so a structure built inside a pool
+    /// scope *remembers* its pool.
     pub fn current() -> Self {
         PoolCtx {
             target: heap::current_target(),
@@ -127,8 +122,8 @@ impl PoolCtx {
     /// guard drops (scopes nest: the previous target is saved and
     /// restored). Pool-backed structures bracket their allocating
     /// operations with this; a [`PoolCtx::volatile`] context clears the
-    /// scoped target for the scope's duration (allocations then fall back
-    /// to the deprecated installed pool, else `Box` — see `volatile`).
+    /// scoped target for the scope's duration (allocations then come from
+    /// `Box`).
     pub fn enter(&self) -> AllocScope {
         AllocScope {
             prev: heap::swap_scoped_target(self.target),
@@ -171,10 +166,9 @@ impl Drop for AllocScope {
 }
 
 /// Allocates `value` as a node — from the thread's current allocation
-/// target (an entered [`PoolCtx`] scope, else the deprecated process-wide
-/// installed pool, else the volatile heap) — and, under a simulating
-/// backend, registers the node's memory with the thread's simulation
-/// context.
+/// target (an entered [`PoolCtx`] scope, else the volatile heap) — and,
+/// under a simulating backend, registers the node's memory with the
+/// thread's simulation context.
 ///
 /// The returned pointer is owned by the data structure; free it with
 /// [`Guard::retire`](nvtraverse_ebr::Guard::retire) after unlinking (or

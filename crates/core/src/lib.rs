@@ -56,8 +56,8 @@
 //! returns a [`PooledHandle`]. Every structure carries its own allocation
 //! context ([`alloc::PoolCtx`]), so [`alloc::alloc_node`]/[`alloc::free`]
 //! route each structure's node memory to *its* pool with no process-global
-//! state (the paper's `libvmmalloc` single-heap takeover, §5.1, survives
-//! only as a deprecated fallback). See `examples/pool_restart.rs`,
+//! state (where the paper's `libvmmalloc` takes over the whole process's
+//! heap, §5.1). See `examples/pool_restart.rs`,
 //! `tests/crash_process.rs`, and `nvtraverse_structures::sharded` for the
 //! N-pools-at-once form.
 //!
@@ -65,13 +65,13 @@
 //!
 //! ```
 //! use nvtraverse::policy::{Durability, NvTraverse, Volatile};
-//! use nvtraverse_pmem::{Count, Noop, PCell, stats};
+//! use nvtraverse_obs as obs;
+//! use nvtraverse_pmem::{Count, Noop, PCell};
 //!
 //! // A shared cell read in a critical section: NVTraverse flushes it...
 //! let cell: PCell<u64, Count<Noop>> = PCell::new(5);
-//! let before = stats::snapshot();
-//! let _ = NvTraverse::<Count<Noop>>::c_load(&cell);
-//! assert!(stats::snapshot().since(before).flushes >= 1);
+//! let (c, _) = obs::counted(|| NvTraverse::<Count<Noop>>::c_load(&cell));
+//! assert!(c.flushes >= 1 || !obs::enabled());
 //!
 //! // ...while the original algorithm does not.
 //! let cell: PCell<u64, Noop> = PCell::new(5);
@@ -95,8 +95,6 @@ pub use marked::MarkedPtr;
 pub use pool::{OpId, OpOutcome};
 pub use ops::{run_operation, Critical, PersistSet, TraversalOps};
 pub use policy::{Durability, Izraelevitz, LinkPersist, NvTraverse, Soft, Volatile};
-#[allow(deprecated)]
-pub use set::PooledSet;
 pub use set::{
     drain_collector, register_pool_tracer, restore_pool_tracer, DurableSet, PoolAttach,
     PoolTrace, PooledHandle, TypedRoots,

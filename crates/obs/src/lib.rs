@@ -24,9 +24,10 @@
 //!   files a process ever opens, and reopening a pool accumulates into the
 //!   same set, which is exactly what a restart-loop wants to observe).
 //! * [`Snapshot`] / [`Snapshot::since`] — cheap copy-out with wrapping
-//!   deltas, the race-free replacement for the global
-//!   `stats::reset()` footgun, plus a hand-rolled [`Snapshot::to_json`]
-//!   serializer and the whole-process [`stats_json`] dump.
+//!   deltas, plus a hand-rolled [`Snapshot::to_json`] serializer and the
+//!   whole-process [`stats_json`] dump. [`counted`] wraps the pattern for
+//!   one region of one thread: exact flush/fence [`Counts`] from a
+//!   private set.
 //! * [`ring`] — a bounded lock-free event ring capturing recent pool
 //!   lifecycle events (create/open/GC/close) for post-mortem dumps.
 //!
@@ -604,7 +605,7 @@ pub fn stats_json() -> String {
 
 /// Escapes a string for embedding in a JSON string literal (returns the
 /// bare escaped text; callers supply the surrounding quotes).
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -748,6 +749,55 @@ pub fn on_fence() {
     }
 }
 
+/// Flushes and fences issued inside one [`counted`] region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Counts {
+    /// Flush instructions, summed over every phase.
+    pub flushes: u64,
+    /// Fence instructions, summed over every phase.
+    pub fences: u64,
+}
+
+/// Runs `f` with this thread's flushes and fences attributed to a private
+/// metric set and returns the exact counts it issued, with `f`'s result.
+///
+/// Attribution is thread-local, so flushes other threads issue meanwhile
+/// are never counted; a nested [`attribute_to`] scope (a pool's
+/// `PoolCtx::enter`) takes its traffic out of the count. With recording
+/// [disabled](enabled) every count is zero.
+///
+/// ```
+/// use nvtraverse_obs::{self as obs, Counts};
+///
+/// let (c, r) = obs::counted(|| {
+///     obs::on_flush();
+///     obs::on_fence();
+///     7
+/// });
+/// if obs::enabled() {
+///     assert_eq!(c, Counts { flushes: 1, fences: 1 });
+/// }
+/// assert_eq!(r, 7);
+/// ```
+pub fn counted<R>(f: impl FnOnce() -> R) -> (Counts, R) {
+    thread_local! {
+        // One leaked set per thread; deltas make nested regions add up.
+        static PRIVATE: &'static MetricSet = Box::leak(Box::new(MetricSet::new(1)));
+    }
+    let set = PRIVATE.with(|s| *s);
+    let before = set.snapshot();
+    let r = {
+        let _t = attribute_to(Some(set));
+        f()
+    };
+    let d = set.snapshot().since(&before);
+    let counts = Counts {
+        flushes: d.total_flushes(),
+        fences: d.total_fences(),
+    };
+    (counts, r)
+}
+
 /// Times `f` and records the sample into this thread's target set as `op`
 /// latency. Runs `f` untimed when recording is disabled or unattributed.
 pub fn timed<R>(op: OpKind, f: impl FnOnce() -> R) -> R {
@@ -841,6 +891,26 @@ mod tests {
         let mut sum = a.snapshot();
         sum.merge(&b.snapshot());
         assert_eq!(sum.counter(Counter::MagHit), 5);
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_controls() {
+        assert_eq!(
+            json_escape("a\"b\\c\nd\re\tf\u{1}g"),
+            "a\\\"b\\\\c\\nd\\re\\tf\\u0001g"
+        );
+    }
+
+    #[test]
+    fn counted_sees_only_its_own_region() {
+        on_flush(); // unattributed: counted nowhere
+        let (outer, inner) = counted(|| {
+            on_fence();
+            let (inner, ()) = counted(on_flush);
+            inner
+        });
+        assert_eq!(inner, Counts { flushes: 1, fences: 0 });
+        assert_eq!(outer, Counts { flushes: 1, fences: 1 });
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //!
 //! The [`heap`] module is the allocation seam between all of this and the
 //! `nvtraverse-pool` crate: a registry of foreign heaps (address ranges plus
-//! dealloc entry points) and an installable process-wide allocator, so node
+//! dealloc entry points) and a per-thread scoped allocation target, so node
 //! allocation and EBR reclamation transparently target a persistent pool —
 //! the `libvmmalloc` model of the paper's evaluation.
 //!
@@ -59,8 +59,8 @@ pub mod batch;
 mod backend;
 mod cell;
 pub mod heap;
+pub mod mix;
 pub mod sim;
-pub mod stats;
 mod word;
 
 pub use backend::{

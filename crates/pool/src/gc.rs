@@ -9,7 +9,7 @@
 //! grows under crash-churn workloads.
 //!
 //! This module supplies the missing half of the recovery contract: during
-//! [`Pool::open`](crate::Pool::open), after the heap walk has validated
+//! [`PoolBuilder::open`](crate::PoolBuilder::open), after the heap walk has validated
 //! every block header and **before** any structure attaches, a mark phase
 //! walks each registered root's persistent node graph (via a type-erased
 //! [`TraceFn`] the embedding process registered per pool path + root name) into a
@@ -75,7 +75,7 @@ pub(crate) fn normalize_path(path: &Path) -> PathBuf {
 /// a caller whose subsequent attach fails can *restore* the previous
 /// registration instead of deleting an assertion somebody else made.
 ///
-/// [`Pool::open`](crate::Pool::open) runs the mark-sweep collection only
+/// [`PoolBuilder::open`](crate::PoolBuilder::open) runs the mark-sweep collection only
 /// when every root name present in the opened pool has a tracer registered
 /// for that pool's path; higher layers (`nvtraverse::PooledHandle`,
 /// `PoolTrace`) call this with the right function for the structure type

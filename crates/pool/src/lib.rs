@@ -62,10 +62,6 @@
 //! allocation per structure (the `nvtraverse::alloc::PoolCtx` scope).
 //! Nothing is process-global.
 //!
-//! The original `libvmmalloc`-style whole-process takeover
-//! ([`Pool::install_as_default`]) survives as a deprecated fallback: scoped
-//! targets take precedence over it.
-//!
 //! # Example
 //!
 //! ```
@@ -117,9 +113,9 @@ pub const VERSION: u64 = 1;
 pub const MAX_ROOTS: usize = 16;
 /// Maximum root name length in bytes.
 pub const MAX_ROOT_NAME: usize = 24;
-/// Smallest capacity [`Pool::create`] accepts.
+/// Smallest capacity [`PoolBuilder::create`] accepts.
 pub const MIN_CAPACITY: u64 = 64 * 1024;
-/// Largest capacity [`Pool::create`] accepts (block offsets must fit the
+/// Largest capacity [`PoolBuilder::create`] accepts (block offsets must fit the
 /// 40-bit offset field of the lock-free engine's tagged free-list heads).
 pub const MAX_CAPACITY: u64 = 1 << 40;
 
@@ -153,7 +149,7 @@ pub(crate) const W0_CLASS_SHIFT: u32 = 48;
 pub(crate) const W0_CLASS_MASK: u64 = 0xFF;
 pub(crate) const W0_ALLOCATED: u64 = 1 << 63;
 
-/// What [`Pool::open`]'s recovery (heap walk + mark-sweep GC) found.
+/// What [`PoolBuilder::open`]'s recovery (heap walk + mark-sweep GC) found.
 ///
 /// The block counts describe the heap **after** the recovery GC: a block
 /// the sweep reclaimed is counted in `free_blocks` (and `reclaimed_blocks`),
@@ -214,7 +210,7 @@ pub struct RecoveryReport {
     pub ops_pending: usize,
 }
 
-/// Per-phase wall-clock breakdown of [`Pool::open`]'s recovery pipeline,
+/// Per-phase wall-clock breakdown of [`PoolBuilder::open`]'s recovery pipeline,
 /// in nanoseconds. Phases that did not run (e.g. mark/sweep when the GC
 /// was skipped) report 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -370,9 +366,7 @@ impl fmt::Debug for Pool {
 /// Builder for opening or creating a [`Pool`] — the one constructor
 /// surface (`Pool::builder().path(…).capacity(…).mode(…)` then
 /// [`create`](PoolBuilder::create) / [`open`](PoolBuilder::open) /
-/// [`open_or_create`](PoolBuilder::open_or_create)), replacing the former
-/// zoo of `create`/`open`/`*_with_mode`/`open_or_create` constructors (kept
-/// as deprecated shims for one release).
+/// [`open_or_create`](PoolBuilder::open_or_create)).
 ///
 /// * `path` — required for every terminal method.
 /// * `capacity` — required by `create` and `open_or_create`; ignored by
@@ -517,28 +511,6 @@ impl Pool {
         PoolBuilder::default()
     }
 
-    /// Creates a new pool file of `capacity` bytes at `path` and maps it,
-    /// with the default [`AllocMode::LockFree`] engine.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file already exists, the capacity is outside
-    /// [`MIN_CAPACITY`]..=[`MAX_CAPACITY`], or mapping fails.
-    #[deprecated(note = "use `Pool::builder().path(…).capacity(…).create()`")]
-    pub fn create(path: impl AsRef<Path>, capacity: u64) -> io::Result<Pool> {
-        Pool::create_impl(path.as_ref(), capacity, AllocMode::default())
-    }
-
-    /// [`Pool::create`] with an explicit allocation engine.
-    #[deprecated(note = "use `Pool::builder().path(…).capacity(…).mode(…).create()`")]
-    pub fn create_with_mode(
-        path: impl AsRef<Path>,
-        capacity: u64,
-        mode: AllocMode,
-    ) -> io::Result<Pool> {
-        Pool::create_impl(path.as_ref(), capacity, mode)
-    }
-
     fn create_impl(path: &Path, capacity: u64, mode: AllocMode) -> io::Result<Pool> {
         if capacity < MIN_CAPACITY {
             return Err(io::Error::new(
@@ -611,25 +583,6 @@ impl Pool {
         mem.persist_u64(OFF_MAGIC);
         obs::ring::record(obs::ring::EventKind::Create, &pool_label(path), capacity, 0);
         Ok(Pool::finish_open(inner))
-    }
-
-    /// Opens an existing pool file with the default [`AllocMode::LockFree`]
-    /// engine — see [`PoolBuilder::open`] for the full recovery story.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a missing file, bad magic/version/capacity, or heap
-    /// metadata that does not verify.
-    #[deprecated(note = "use `Pool::builder().path(…).open()`")]
-    pub fn open(path: impl AsRef<Path>) -> io::Result<Pool> {
-        Pool::open_impl(path.as_ref(), AllocMode::default())
-    }
-
-    /// [`Pool::open`] with an explicit allocation engine. The engine choice
-    /// is volatile: both engines read and write the same persistent format.
-    #[deprecated(note = "use `Pool::builder().path(…).mode(…).open()`")]
-    pub fn open_with_mode(path: impl AsRef<Path>, mode: AllocMode) -> io::Result<Pool> {
-        Pool::open_impl(path.as_ref(), mode)
     }
 
     fn open_impl(path: &Path, mode: AllocMode) -> io::Result<Pool> {
@@ -742,16 +695,6 @@ impl Pool {
         );
         *inner.report.get_mut().unwrap_or_else(|e| e.into_inner()) = report;
         Ok(Pool::finish_open(inner))
-    }
-
-    /// Opens `path` if it exists, otherwise creates it with `capacity`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Pool::open`]/[`Pool::create`] failures.
-    #[deprecated(note = "use `Pool::builder().path(…).capacity(…).open_or_create()`")]
-    pub fn open_or_create(path: impl AsRef<Path>, capacity: u64) -> io::Result<Pool> {
-        Pool::builder().path(path).capacity(capacity).open_or_create()
     }
 
     fn finish_open(mut inner: Inner) -> Pool {
@@ -975,13 +918,6 @@ impl Pool {
         Ok(())
     }
 
-    /// The former name of [`Pool::set_root_offset`], freed up so the typed
-    /// root API (`nvtraverse`'s `root::<S>()`) can own the `root` verb.
-    #[deprecated(note = "renamed to `set_root_offset`")]
-    pub fn set_root(&self, name: &str, off: u64) -> io::Result<()> {
-        self.set_root_offset(name, off)
-    }
-
     /// Looks up the raw offset registered under `name`.
     ///
     /// (The typed counterpart — `pool.root::<S>(name)` returning an
@@ -1053,7 +989,7 @@ impl Pool {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Pool::set_root`].
+    /// Same conditions as [`Pool::set_root_offset`].
     pub fn set_root_ptr<T>(&self, name: &str, ptr: *const T) -> io::Result<()> {
         self.set_root_offset(name, self.offset_of(ptr as *const u8))
     }
@@ -1091,7 +1027,7 @@ impl Pool {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Pool::set_root`].
+    /// Same conditions as [`Pool::set_root_offset`].
     ///
     /// # Panics
     ///
@@ -1124,26 +1060,6 @@ impl Pool {
             ctx: Arc::as_ptr(&self.inner) as usize,
             alloc: Inner::alloc_shim,
         }
-    }
-
-    /// Makes this pool the process-wide **fallback** allocation target
-    /// (per-structure scoped targets take precedence). Mirrors
-    /// `libvmmalloc`'s whole-process takeover (paper §5.1) — the
-    /// single-pool model this crate grew out of.
-    #[deprecated(
-        note = "pools are first-class now: structures carry a per-pool \
-                allocation context (`PoolCtx`), no global install needed"
-    )]
-    pub fn install_as_default(&self) {
-        let t = self.alloc_target();
-        heap::install_allocator(t.ctx, t.alloc);
-    }
-
-    /// Stops routing process-wide fallback allocations to this pool (no-op
-    /// if some other pool is installed).
-    #[deprecated(note = "counterpart of the deprecated `install_as_default`")]
-    pub fn uninstall_default(&self) {
-        heap::uninstall_allocator(Arc::as_ptr(&self.inner) as usize);
     }
 
     // ---- deferred recovery GC -------------------------------------------
@@ -1664,7 +1580,6 @@ impl Drop for Inner {
         // engine unregisters first so no exiting thread can drain magazines
         // into a dying engine.
         self.engine.unregister();
-        heap::uninstall_allocator(self as *const Inner as usize);
         heap::unregister_region(self.mem.base());
         MmapBackend::unregister_region(self.mem.base());
         // Clean-close marker only for a pool that actually opened: a

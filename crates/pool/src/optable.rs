@@ -19,12 +19,13 @@
 //!   written into inserted nodes as their *op tag*, which is what lets
 //!   recovery re-run a lookup and attribute the surviving state to a
 //!   specific descriptor.
-//! * [`Pool::open`] snapshots the table before any structure attaches;
-//!   [`Pool::op_outcome`] then classifies any queried [`OpId`] as
-//!   [`OpOutcome::Committed`] / [`OpOutcome::NotApplied`] — consulting the
-//!   recovered structure (via [`Pool::resolve_op`], driven by the typed
-//!   root attach in `nvtraverse`) for the in-between cases where the
-//!   descriptor alone cannot decide.
+//! * [`PoolBuilder::open`](crate::PoolBuilder::open) snapshots the table
+//!   before any structure attaches; [`Pool::op_outcome`] then classifies
+//!   any queried [`OpId`] as [`OpOutcome::Committed`] /
+//!   [`OpOutcome::NotApplied`] — consulting the recovered structure (via
+//!   [`Pool::resolve_op`], driven by the typed root attach in
+//!   `nvtraverse`) for the in-between cases where the descriptor alone
+//!   cannot decide.
 //!
 //! # Why the lookup decides, not the published result
 //!
@@ -41,6 +42,7 @@
 //! agrees with the surviving state.
 
 use crate::{Pool, RecoveryReport, MAX_ROOT_NAME};
+use nvtraverse_pmem::mix;
 use std::io;
 
 /// Reserved root name of the per-pool operation-descriptor table.
@@ -100,12 +102,6 @@ pub fn encode_result(seq: u64, code: u64) -> u64 {
     (seq << 2) | code
 }
 
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// The arm checksum over a descriptor's intent words, stored in
 /// [`OPW_CHECK`] by every arm. Recovery recomputes it to detect a **torn
 /// arm**: a crash inside the very fence that was persisting a new arm can
@@ -116,9 +112,9 @@ fn mix64(mut x: u64) -> u64 {
 /// operation completed and left its sequence-stamped result word (which
 /// arming never touches) durable and authoritative.
 pub fn descriptor_check(seq: u64, kind: u64, key: u64, value: u64, target_tag: u64) -> u64 {
-    let mut h = 0x9E37_79B9_7F4A_7C15u64;
+    let mut h = mix::GOLDEN;
     for w in [seq, kind, key, value, target_tag] {
-        h = mix64(h ^ w).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        h = mix::finalize(h ^ w).wrapping_add(mix::GOLDEN);
     }
     h
 }
@@ -175,7 +171,8 @@ pub enum OpOutcome {
     Superseded,
 }
 
-/// One descriptor slot as found at [`Pool::open`] (raw words, decoded).
+/// One descriptor slot as found at
+/// [`PoolBuilder::open`](crate::PoolBuilder::open) (raw words, decoded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawOp {
     /// Slot index in the table.

@@ -370,20 +370,18 @@ fn alloc_value_and_poff_roundtrip() {
     cleanup(&path);
 }
 
-/// Legacy-compat: the deprecated process-wide install must keep working
-/// for one release (it is the pre-multi-pool allocation model).
+/// A thread whose scoped target is this pool's `alloc_target` allocates
+/// from the pool, and the foreign-heap registry routes the free back.
 #[test]
-#[allow(deprecated)]
-fn install_as_default_routes_heap_allocate() {
-    let path = tmp("install");
+fn scoped_target_routes_heap_allocate() {
+    let path = tmp("scoped");
     let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
-    pool.install_as_default();
+    let prev = heap::swap_scoped_target(Some(pool.alloc_target()));
     let p = heap::allocate(64, 8).unwrap();
     assert!(pool.contains(p as *const u8));
-    // The foreign-heap registry routes the free back to this pool.
     let (ctx, dealloc) = heap::owner_of(p as *const u8).unwrap();
     unsafe { dealloc(ctx, p, 64, 8) };
-    pool.uninstall_default();
+    heap::swap_scoped_target(prev);
     assert!(heap::allocate(64, 8).is_none());
     pool.verify_heap().unwrap();
     assert_eq!(pool.live_offsets().len(), 0);
@@ -782,4 +780,16 @@ fn open_retry_waits_out_a_closing_holder() {
     holder.join().unwrap();
     drop(reopened);
     cleanup(&path);
+}
+
+/// The arm checksum is an on-disk format: a pool written by one build must
+/// verify under the next, so its outputs are pinned to fixed vectors.
+#[test]
+fn descriptor_check_is_pinned() {
+    assert_eq!(optable::descriptor_check(0, 0, 0, 0, 0), 0x16E5_D453_EAAA_5073);
+    assert_eq!(optable::descriptor_check(1, 1, 42, 4200, 0), 0x369B_2735_503C_6C77);
+    assert_eq!(
+        optable::descriptor_check(7, 2, u64::MAX, 3, optable::OP_TARGET_MISS),
+        0x8E15_FFF4_9780_C5DF
+    );
 }

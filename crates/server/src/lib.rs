@@ -25,8 +25,6 @@
 //!   heap walk, GC, structure rebuild, and op-table classification.
 //! * **Client** ([`client`]): a small synchronous client with a
 //!   send/recv split for pipelining and helpers for every operation.
-//! * **Workload** ([`ycsb`]): seeded zipfian YCSB mixes A/B/C and latency
-//!   histograms, driving the `kv_service` figure.
 //!
 //! ```no_run
 //! use nvtraverse_server::{Client, KvStore, PolicyKind, Server, ServerConfig};
@@ -48,11 +46,9 @@ mod net;
 pub mod proto;
 pub mod server;
 pub mod store;
-pub mod ycsb;
 
 pub use batch::{exec_data_op, run_batch, BatchStats};
 pub use client::{Client, DetectableAck, OutcomeAnswer};
 pub use proto::{Reply, Request};
 pub use server::{Server, ServerConfig};
 pub use store::{ConnTokens, KvStore, NvtShard, PolicyKind, SoftShard};
-pub use ycsb::{run_ycsb, LatencyHist, Mix, YcsbCfg, YcsbReport, Zipfian};

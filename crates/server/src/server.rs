@@ -53,8 +53,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotone service counters, exported in `STATS` and read by the
-/// `kv_service` figure.
+/// Monotone service counters, exported in `STATS`.
 #[derive(Debug, Default)]
 struct Counters {
     connections: AtomicU64,
@@ -69,9 +68,11 @@ struct Counters {
 struct Shared {
     store: KvStore,
     shutdown: AtomicBool,
-    /// Server-wide obs target: every handler thread attributes its
-    /// flushes/fences (including each batch's single closing fence) here,
-    /// so fences/op over the whole service is one snapshot delta.
+    /// Server-wide obs target of every handler thread. It holds the
+    /// flushes/fences issued outside any shard's pool scope, such as each
+    /// batch's closing fence; pool writes are re-attributed to the owning
+    /// shard's set by `PoolCtx::enter`. The service total is this set plus
+    /// the shard pools' sets.
     metrics: &'static obs::MetricSet,
     counters: Counters,
     conns: Mutex<Vec<Stream>>,
@@ -188,8 +189,8 @@ impl Server {
         }
     }
 
-    /// The server-wide obs metric set (flush/fence attribution for all
-    /// connection handlers — the `kv_service` figure reads deltas of it).
+    /// The server-wide obs metric set: connection handlers' flushes/fences
+    /// outside any shard pool scope (the shard pools' sets hold the rest).
     pub fn metrics(&self) -> &'static obs::MetricSet {
         self.shared.metrics
     }
@@ -297,8 +298,9 @@ impl Drop for InFlightGuard<'_> {
 }
 
 fn handle_conn(shared: &Arc<Shared>, mut stream: Stream) {
-    // Everything this connection flushes or fences — pool writes, batch
-    // closing fences — lands in the server-wide metric set.
+    // Flushes and fences outside a shard's pool scope (batch closing
+    // fences) land in the server-wide set; `PoolCtx::enter` re-attributes
+    // pool writes to the owning shard's set.
     let _obs = obs::attribute_to(Some(shared.metrics));
     let mut tokens = ConnTokens::new();
     // Ok(None) is clean EOF; Err covers a cut socket or a dead peer.

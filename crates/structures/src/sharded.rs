@@ -61,7 +61,7 @@ use nvtraverse::{
     register_pool_tracer, restore_pool_tracer, DurableSet, PoolAttach, PoolTrace, PooledHandle,
     TypedRoots,
 };
-use nvtraverse_pmem::Word;
+use nvtraverse_pmem::{mix, Word};
 use nvtraverse_pool::{OpId, Pool, RecoveryReport};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -69,17 +69,6 @@ use std::path::{Path, PathBuf};
 /// Root name every shard registers its structure under (one structure per
 /// shard pool).
 pub const SHARD_ROOT: &str = "shard";
-
-/// The key-routing mix (splitmix64): decorrelates shard choice from low key
-/// bits so sequential keys spread across shards. Must stay stable — it is
-/// effectively part of the on-disk format (re-routing keys would "lose"
-/// them in the wrong shard).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Which of `shards` shards a key (by its bit pattern) routes to — the
 /// routing function of every sharded set, exposed so remote clients (the
@@ -91,7 +80,9 @@ fn mix(mut x: u64) -> u64 {
 ///
 /// Panics when `shards` is 0 (a sharded set always has at least one).
 pub fn shard_route(key_bits: u64, shards: usize) -> usize {
-    (mix(key_bits) % shards as u64) as usize
+    // SplitMix64 decorrelates shard choice from low key bits, so
+    // sequential keys spread across shards.
+    (mix::splitmix64(key_bits) % shards as u64) as usize
 }
 
 fn shard_file(dir: &Path, i: usize) -> PathBuf {
@@ -585,7 +576,7 @@ mod tests {
     /// The aggregate [`ShardedSet::metrics_snapshot`] must equal the
     /// element-wise sum of the per-shard snapshots at a quiescent point —
     /// the determinism contract the KV server's STATS reply and the
-    /// `kv_service` figure's fences/op attribution both lean on.
+    /// `kvbench` fences/op totals both lean on.
     #[test]
     fn metrics_snapshot_is_the_sum_of_the_shards() {
         if !nvtraverse_obs::enabled() {
@@ -644,6 +635,22 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.iter().all(|&s| s), "256 keys must reach all 4 shards");
+        set.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Routing is an on-disk format: a key re-routed to another shard would
+    /// be "lost" there after a reopen. Pinned to fixed vectors, both for
+    /// the free function and for a live set's `shard_index_of`.
+    #[test]
+    fn shard_routing_is_pinned() {
+        let cases = [(0, 4, 3), (1, 4, 1), (2, 4, 2), (3, 4, 1), (42, 7, 5), (u64::MAX, 16, 0)];
+        for (key, shards, want) in cases {
+            assert_eq!(shard_route(key, shards), want, "key {key} over {shards} shards");
+        }
+        let dir = tmp_dir("pinned-route");
+        let set = ShardedSet::<List>::create(&dir, 3, 1 << 20).unwrap();
+        assert_eq!(set.shard_index_of(12345), 2);
         set.close().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -32,7 +32,7 @@ use nvtraverse::ops::{run_operation, Critical, PersistSet, TraversalOps};
 use nvtraverse::policy::Durability;
 use nvtraverse::set::{DurableSet, PoolAttach, SetOp};
 use nvtraverse_ebr::{Collector, Guard};
-use nvtraverse_pmem::{Backend, PCell, Word};
+use nvtraverse_pmem::{mix, Backend, PCell, Word};
 use nvtraverse_pool::Pool;
 use std::fmt;
 use std::io;
@@ -122,13 +122,6 @@ unsafe impl<K: Word, V: Word, D: Durability> Send for SkipList<K, V, D> {}
 // SAFETY: all shared mutation goes through atomics/PCells; raw node pointers are only dereferenced under EBR guards.
 unsafe impl<K: Word, V: Word, D: Durability> Sync for SkipList<K, V, D> {}
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl<K, V, D> SkipList<K, V, D>
 where
     K: Word + Ord,
@@ -210,7 +203,7 @@ where
     /// number of prior calls.
     fn next_height(&self) -> usize {
         let n = self.height_seq.fetch_add(1, Ordering::Relaxed);
-        let bits = splitmix64(n);
+        let bits = mix::splitmix64(n);
         ((bits.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
     }
 

@@ -96,7 +96,7 @@ use nvtraverse::ops::{run_operation, Critical, PersistSet, TraversalOps};
 use nvtraverse::policy::Durability;
 use nvtraverse::set::{DurableSet, PoolAttach, SetOp};
 use nvtraverse_ebr::{Collector, Guard};
-use nvtraverse_pmem::{heap, Backend, PCell, Word, POISON};
+use nvtraverse_pmem::{heap, mix, Backend, PCell, Word, POISON};
 use nvtraverse_pool::Pool;
 use std::fmt;
 use std::io;
@@ -111,14 +111,6 @@ pub(crate) const TOMB: u64 = 0x70B5_70B5_70B5_70B5;
 /// `value`, `owner`, `seq`, `vend` — everything **except** the volatile
 /// link.
 pub(crate) const PERSIST_HDR: usize = 6 * 8;
-
-/// SplitMix64 finalizer (same mixer as the op-descriptor checksum in
-/// `nvtraverse_pool::optable`).
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The reserved words a computed seal must dodge: [`TOMB`] (a seal equal to
 /// it would read as removed) and [`POISON`] (the simulator refuses to store
@@ -141,9 +133,9 @@ fn dodge_reserved(w: u64) -> u64 {
 pub(crate) fn hdr_seals(key: u64, value: u64, owner: u64, seq: u64) -> (u64, u64) {
     let mut h = 0x5EA1_5EA1_5EA1_5EA1u64;
     for w in [key, value, owner, seq] {
-        h = mix64(h ^ w).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        h = mix::finalize(h ^ w).wrapping_add(mix::GOLDEN);
     }
-    (dodge_reserved(h), dodge_reserved(mix64(h)))
+    (dodge_reserved(h), dodge_reserved(mix::finalize(h)))
 }
 
 /// What a raw scan of a candidate block's header words proves.
@@ -1368,5 +1360,21 @@ mod tests {
         assert_eq!(l.get(BITS), Some(BITS), "recovery dropped poison-shaped data");
         assert_eq!(l.get(1), Some(10));
         assert_eq!(l.check_consistency(false).unwrap(), 2);
+    }
+
+    /// Seals are an on-disk format: recovery recomputes them from the
+    /// stored words, so a pool written by one build must validate under
+    /// the next. Pinned to fixed vectors.
+    #[test]
+    fn hdr_seals_are_pinned() {
+        assert_eq!(hdr_seals(0, 0, 0, 0), (0x0376_1B1B_597E_EE90, 0xFBB6_05D3_7189_B1EC));
+        assert_eq!(
+            hdr_seals(42, 4200, 0x1000, 1),
+            (0x82CC_4ECE_85C7_075D, 0x82B8_2F3A_B1FB_7EFE)
+        );
+        assert_eq!(
+            hdr_seals(u64::MAX, 1, 2, 3),
+            (0xEED3_23B3_7112_87B5, 0x46F5_1E26_7D20_315A)
+        );
     }
 }

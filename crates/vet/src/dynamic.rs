@@ -206,29 +206,15 @@ impl VetReport {
                 f.addr,
                 f.phase.name(),
                 match &f.op {
-                    Some(l) => format!("\"{}\"", json_escape(l)),
+                    Some(l) => format!("\"{}\"", obs::json_escape(l)),
                     None => "null".to_string(),
                 },
-                json_escape(&f.detail)
+                obs::json_escape(&f.detail)
             ));
         }
         out.push_str("]}");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Per-word sanitizer state.

@@ -5,14 +5,12 @@
 //! constant), pinned as a regression test per structure.
 //!
 //! Counting goes through the [`Count`] backend, whose every flush/fence is
-//! recorded both into the process-global `stats` counters **and** into the
-//! thread's attributed `nvtraverse-obs` metric set. The tests attribute to
-//! a **private** metric set per measurement, which is what makes the counts
-//! exact even though the test binary runs other tests (and their flushes)
-//! concurrently: attribution is thread-local, so only this thread's
-//! instructions land in the private set. (The deprecated global
-//! `stats::reset()` could never do this — see the `stats` module docs for
-//! the interleaving hazard.)
+//! recorded into the thread's attributed `nvtraverse-obs` metric set. The
+//! tests count with [`obs::counted`], which attributes to a **private**
+//! metric set: that is what makes the counts exact even though the test
+//! binary runs other tests (and their flushes) concurrently — attribution
+//! is thread-local, so only this thread's instructions are counted. The
+//! counts therefore need telemetry on (`NVT_OBS` unset).
 //!
 //! # The constants
 //!
@@ -30,7 +28,8 @@ use nvtraverse::policy::{NvTraverse, Soft};
 use nvtraverse::DurableSet;
 use nvtraverse_obs as obs;
 use nvtraverse_pmem::batch::FenceBatch;
-use nvtraverse_pmem::{Count, Noop};
+use nvtraverse_pmem::heap::{self, AllocTarget};
+use nvtraverse_pmem::{Count, Noop, CACHE_LINE};
 use nvtraverse_structures::ellen_bst::EllenBst;
 use nvtraverse_structures::hash::HashMapDs;
 use nvtraverse_structures::list::HarrisList;
@@ -40,6 +39,8 @@ use nvtraverse_structures::skiplist::SkipList;
 use nvtraverse_structures::soft_hash::SoftHash;
 use nvtraverse_structures::soft_list::SoftList;
 use nvtraverse_structures::stack::TreiberStack;
+use std::alloc::Layout;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 type D = NvTraverse<Count<Noop>>;
 type SD = Soft<Count<Noop>>;
@@ -48,16 +49,10 @@ type SD = Soft<Count<Noop>>;
 /// non-trivially populated — an empty-structure op can take shortcuts).
 const PREFILL: u64 = 32;
 
-/// Runs `f` with this thread's persistence instructions attributed to a
-/// private metric set, returning the exact (flushes, fences) it issued.
+/// The exact (flushes, fences) this thread issued while running `f`.
 fn counted(f: impl FnOnce()) -> (u64, u64) {
-    let set: &'static obs::MetricSet = Box::leak(Box::new(obs::MetricSet::new(1)));
-    {
-        let _t = obs::attribute_to(Some(set));
-        f();
-    }
-    let s = set.snapshot();
-    (s.total_flushes(), s.total_fences())
+    let (c, ()) = obs::counted(f);
+    (c.flushes, c.fences)
 }
 
 /// Asserts an exact measurement against its documented bound. A durable
@@ -170,9 +165,7 @@ fn stack_bounds() {
 /// **+0**: arming and publishing ride the operation's own fences. On the
 /// no-op paths it is **+1**: the plain no-op has nothing pending at return
 /// so its closing fence is elided entirely, while the detectable no-op
-/// still needs one fence to make its arm+publish words durable. Signed,
-/// because the allocator's slab state can wobble the plain insert by a
-/// flush.
+/// still needs one fence to make its arm+publish words durable.
 fn assert_detectable_delta(
     what: &str,
     plain: (u64, u64),
@@ -193,13 +186,40 @@ fn assert_detectable_delta(
     );
 }
 
-/// Elementwise minimum over a few samples of the same operation shape:
-/// cancels the allocator's slab wobble (which only ever *adds* a flush), so
-/// the plain/detectable comparison sees each path's floor cost.
-fn min_counted(samples: impl Iterator<Item = (u64, u64)>) -> (u64, u64) {
-    samples
-        .reduce(|a, b| (a.0.min(b.0), a.1.min(b.1)))
-        .expect("at least one sample")
+/// Builds a structure whose nodes all come from a private arena of
+/// cache-line-aligned slots. A node that straddles a line boundary costs
+/// `flush_range` one more flush, so on the shared volatile heap a node's
+/// flush count depends on where other tests' allocations left the heap;
+/// here it does not.
+fn line_aligned<S>(make: impl FnOnce() -> S) -> S {
+    const ARENA: usize = 1 << 20;
+    unsafe fn alloc(ctx: usize, size: usize, _align: usize) -> *mut u8 {
+        // SAFETY: `ctx` is the leaked, never-freed bump cursor below.
+        let (next, end) = unsafe { &*(ctx as *const (AtomicUsize, usize)) };
+        let len = size.next_multiple_of(CACHE_LINE);
+        let p = next.fetch_add(len, Ordering::Relaxed);
+        if p + len > *end {
+            std::ptr::null_mut()
+        } else {
+            p as *mut u8
+        }
+    }
+    // Freed nodes are never reused: the arena lives as long as the test.
+    unsafe fn dealloc(_ctx: usize, _ptr: *mut u8, _size: usize, _align: usize) {}
+    let layout = Layout::from_size_align(ARENA, CACHE_LINE).unwrap();
+    // SAFETY: the layout has a non-zero size.
+    let base = unsafe { std::alloc::alloc(layout) } as usize;
+    assert_ne!(base, 0, "arena allocation failed");
+    let cursor: &'static (AtomicUsize, usize) =
+        Box::leak(Box::new((AtomicUsize::new(base), base + ARENA)));
+    let ctx = cursor as *const (AtomicUsize, usize) as usize;
+    heap::register_region(base, ARENA, ctx, dealloc);
+    // Structures capture the allocation target in effect when they are
+    // built and re-enter it around every operation.
+    let prev = heap::swap_scoped_target(Some(AllocTarget { ctx, alloc }));
+    let s = make();
+    heap::swap_scoped_target(prev);
+    s
 }
 
 /// Prefills a set, then measures matching plain/detectable insert and
@@ -207,20 +227,15 @@ fn min_counted(samples: impl Iterator<Item = (u64, u64)>) -> (u64, u64) {
 fn detectable_delta_bounds<S: DurableSet<u64, u64>>(name: &str, make: impl FnOnce() -> S) {
     let table: OpTable<Count<Noop>> = OpTable::new(1);
     let mut tok = table.token(0);
-    let s = make();
+    let s = line_aligned(make);
     for k in 0..PREFILL {
         assert!(s.insert(k * 2, k));
     }
-    // Odd keys are absent; interleave the sample key ranges so neither path
-    // systematically lands on a fresh allocator slab.
-    let plain_ins = min_counted((0..4u64).map(|i| counted(|| assert!(s.insert(101 + 8 * i, 1)))));
-    let det_ins = min_counted(
-        (0..4u64).map(|i| counted(|| assert!(s.insert_detectable(&mut tok, 103 + 8 * i, 1).unwrap().1))),
-    );
-    let plain_rem = min_counted((0..4u64).map(|i| counted(|| assert!(s.remove(16 + 8 * i)))));
-    let det_rem = min_counted(
-        (0..4u64).map(|i| counted(|| assert!(s.remove_detectable(&mut tok, 18 + 8 * i).unwrap().1))),
-    );
+    // Odd keys are absent.
+    let plain_ins = counted(|| assert!(s.insert(101, 1)));
+    let det_ins = counted(|| assert!(s.insert_detectable(&mut tok, 103, 1).unwrap().1));
+    let plain_rem = counted(|| assert!(s.remove(16)));
+    let det_rem = counted(|| assert!(s.remove_detectable(&mut tok, 18).unwrap().1));
     assert_detectable_delta(&format!("{name} insert"), plain_ins, det_ins, 0);
     assert_detectable_delta(&format!("{name} remove"), plain_rem, det_rem, 0);
     // The no-op paths arm and publish together under the closing fence —
@@ -367,8 +382,8 @@ fn nvtraverse_batch_saves_exactly_b_minus_one_fences() {
 }
 
 /// SOFT: an update's *only* fence is the closing one, so a B-op batch is
-/// exactly B flushes + **1** fence — the fences/op = 1/B floor the
-/// `kv_service` figure converges to. Lookups add nothing.
+/// exactly B flushes + **1** fence — the fences/op = 1/B floor of a
+/// B-op BATCH frame. Lookups add nothing.
 #[test]
 fn soft_batch_hits_the_one_fence_floor() {
     const B: u64 = 16;
@@ -462,12 +477,11 @@ fn server_batch_path_pays_one_closing_fence() {
 }
 
 /// The bounds above are *attributed* counts; this pins the machinery they
-/// rely on — the same operations, measured into two different private sets,
-/// see identical counts, and an unattributed interleaved operation lands in
-/// neither.
+/// rely on — the same operation, counted twice, shows identical counts, and
+/// an unattributed interleaved operation is counted in neither.
 #[test]
 fn attribution_is_exact_and_private() {
-    let list = HarrisList::<u64, u64, D>::new();
+    let list = line_aligned(HarrisList::<u64, u64, D>::new);
     for k in 0..PREFILL {
         assert!(list.insert(k * 2, k));
     }

@@ -10,7 +10,7 @@
 
 use nvtraverse::policy::{NvTraverse, Soft};
 use nvtraverse::pool::Pool;
-use nvtraverse::{DurableSet, PooledHandle, TypedRoots};
+use nvtraverse::{DurableSet, TypedRoots};
 use nvtraverse_pmem::MmapBackend;
 use nvtraverse_structures::ellen_bst::EllenBst;
 use nvtraverse_structures::hash::HashMapDs;
@@ -519,47 +519,6 @@ fn create_root_refuses_to_overwrite_a_live_root() {
     // it instead of recreating.
     assert_eq!(a.get(1), Some(10));
     drop(a);
-    std::fs::remove_file(&path).unwrap();
-}
-
-/// The deprecated one-call shims (`PooledHandle::{create,open,
-/// open_or_create,adopt}`, `PooledSet`, `Pool::{create,open}`,
-/// `install_as_default`) must keep working for one release — they are the
-/// pre-multi-pool surface, now implemented on top of the builder and typed
-/// roots.
-#[test]
-#[allow(deprecated)]
-fn legacy_shims_still_work() {
-    use nvtraverse::{PoolAttach, PooledSet};
-    let path = tmp("legacy");
-    {
-        let list = PooledSet::<PooledList>::create(&path, 2 << 20, "legacy").unwrap();
-        for k in 0..40u64 {
-            assert!(list.insert(k, k + 1));
-        }
-        // adopt of a second root, the old way.
-        let b = PooledHandle::adopt(
-            list.pool(),
-            PooledList::create_in_pool(list.pool(), "second").unwrap(),
-            "second",
-        );
-        b.insert(7, 77);
-        b.close().unwrap();
-        list.close().unwrap();
-    }
-    {
-        let list = PooledSet::<PooledList>::open(&path, "legacy").unwrap();
-        assert!(list.pool().recovery_report().gc_ran);
-        assert_eq!(list.get(3), Some(4));
-        // The legacy global install still routes unscoped allocations.
-        list.pool().install_as_default();
-        assert!(nvtraverse::pmem::heap::allocator_installed());
-        list.pool().uninstall_default();
-        list.close().unwrap();
-    }
-    let list = PooledSet::<PooledList>::open_or_create(&path, 2 << 20, "legacy").unwrap();
-    assert_eq!(list.len(), 40);
-    list.close().unwrap();
     std::fs::remove_file(&path).unwrap();
 }
 

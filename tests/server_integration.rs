@@ -3,8 +3,8 @@
 //! rejection, concurrent clients, STATS, and durable shutdown/reopen.
 //!
 //! Everything runs against a real `Server` with real `MmapBackend` shard
-//! pools under a temp directory — the full stack the `kv_service` figure
-//! measures, minus the clock.
+//! pools under a temp directory — the full stack `kvbench` measures,
+//! minus the clock.
 
 use nvtraverse_server::{
     Client, KvStore, OutcomeAnswer, PolicyKind, Reply, Request, Server, ServerConfig,
