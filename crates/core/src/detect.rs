@@ -161,7 +161,10 @@ impl ArmHandle {
     /// Call inside `critical`, before the linearizing CAS: that CAS's
     /// pre-fence (or, on the no-op paths, the closing `before_return`
     /// fence) is what makes the armed words durable — arming itself adds no
-    /// fence. The stale result word is deliberately *not* flushed: its
+    /// fence. On the no-op paths no CAS precedes the arm, so the structure
+    /// calls [`fence_before_write`](crate::policy::Durability::fence_before_write)
+    /// first: the descriptor must not persist ahead of the window that
+    /// decided the no-op. The stale result word is deliberately *not* flushed: its
     /// embedded sequence number already distinguishes it from this
     /// operation. Idempotent across `Restart` retries.
     ///

@@ -20,9 +20,10 @@
 //! traversal**. Between `traverse` and `critical` it runs two injected steps:
 //! `ensureReachable` (flush the pointer that connects the returned window to
 //! the rest of the tree) and `makePersistent` (flush the fields the traversal
-//! read in the returned nodes, then fence). Inside `critical`, Protocol 2
-//! applies: flush after every shared read and every write/CAS, fence before
-//! every write/CAS and before returning.
+//! read in the returned nodes; the paper's fence after it is merged into the
+//! next Protocol 2 fence). Inside `critical`, Protocol 2 applies: flush
+//! after every shared read and every write/CAS, fence before every
+//! write/CAS and before returning.
 //!
 //! ## How this crate encodes the transformation
 //!

@@ -30,8 +30,19 @@
 //! [`FenceBatch`](nvtraverse_pmem::batch::FenceBatch) scope it is deferred
 //! to the batch's single shared fence (the server's group-commit path);
 //! outside any scope it is issued immediately, exactly as the protocols
-//! place it. Only `before_return` defers — every other fence orders stores
-//! for concurrent helpers and stays put.
+//! place it. Only `before_return` defers — every other fence precedes a
+//! write and stays put.
+//!
+//! `NvTraverse` issues no fence of its own in
+//! [`make_persistent`](Durability::make_persistent): under the §2 model a
+//! fence only drains the issuing thread's flushes, and between
+//! `makePersistent` and the next Protocol 2 fence (the pre-fence of the
+//! first critical write, or `before_return`) the thread only reads and
+//! flushes. That next fence drains the window flushes too, so Algorithm 2's
+//! fence there adds nothing. The invariant this relies on: no persistent
+//! write in `critical` without a pre-write fence — the `c_*` writes fence
+//! themselves, and a structure that writes persistent memory by other means
+//! calls [`fence_before_write`](Durability::fence_before_write) first.
 
 use crate::marked::MarkedPtr;
 use nvtraverse_obs as obs;
@@ -89,8 +100,12 @@ pub trait Durability: Send + Sync + 'static {
     /// current parent under the Lemma 4.1 optimization).
     fn ensure_reachable(addr: *const u8);
 
-    /// Flush every field the traversal read in its returned nodes, then
-    /// fence. The fence also covers [`Durability::ensure_reachable`].
+    /// Flush every field the traversal read in its returned nodes. No
+    /// fence: these flushes and [`Durability::ensure_reachable`]'s stay
+    /// pending until the next Protocol 2 fence — before the first critical
+    /// write, or [`before_return`](Durability::before_return) — which
+    /// drains them before anything that depends on them is written or
+    /// returned.
     fn make_persistent(addrs: &[*const u8]);
 
     // ---- critical phase (Protocol 2) --------------------------------------
@@ -143,6 +158,16 @@ pub trait Durability: Send + Sync + 'static {
 
     /// Fence before the operation returns its result (Protocol 2, last rule).
     fn before_return();
+
+    /// Protocol 2's fence before a persistent write that does not go
+    /// through [`c_store`](Durability::c_store) / [`c_cas`](Durability::c_cas)
+    /// / [`c_cas_link`](Durability::c_cas_link) (e.g. a detectable
+    /// operation's descriptor words): drains this thread's pending flushes
+    /// — the window's among them — so the write cannot persist ahead of
+    /// the state it was decided on. A no-op unless the policy leaves
+    /// Protocol 1 flushes unfenced.
+    #[inline(always)]
+    fn fence_before_write() {}
 }
 
 /// No persistence at all: the original lock-free algorithm.
@@ -224,11 +249,11 @@ impl<B: Backend> Durability for NvTraverse<B> {
     }
     #[inline]
     fn make_persistent(addrs: &[*const u8]) {
+        // No fence: the next Protocol 2 fence drains these flushes.
         let _p = obs::phase(obs::Phase::Critical);
         for &a in addrs {
             B::flush(a);
         }
-        B::fence();
     }
     #[inline]
     fn c_load<T: Word>(cell: &PCell<T, B>) -> T {
@@ -281,6 +306,11 @@ impl<B: Backend> Durability for NvTraverse<B> {
         if nvtraverse_pmem::batch::defer_closing_fence() {
             return; // absorbed by the enclosing FenceBatch
         }
+        let _p = obs::phase(obs::Phase::Critical);
+        fence_if_pending::<B>();
+    }
+    #[inline]
+    fn fence_before_write() {
         let _p = obs::phase(obs::Phase::Critical);
         fence_if_pending::<B>();
     }
@@ -678,14 +708,58 @@ mod tests {
     }
 
     #[test]
-    fn nvtraverse_make_persistent_is_one_fence() {
+    fn nvtraverse_make_persistent_flushes_without_fencing() {
         let a: PCell<u64, CB> = PCell::new(1);
         let b: PCell<u64, CB> = PCell::new(2);
         let (d, _) = counted(|| {
             NvTraverse::<CB>::ensure_reachable(a.addr());
             NvTraverse::<CB>::make_persistent(&[a.addr(), b.addr()]);
         });
-        assert_eq!((d.flushes, d.fences), (3, 1));
+        assert_eq!((d.flushes, d.fences), (3, 0));
+        assert!(nvtraverse_pmem::flushes_pending(), "left for the next fence");
+        NvTraverse::<CB>::before_return();
+    }
+
+    #[test]
+    fn nvtraverse_window_flushes_ride_the_linking_cas_fence() {
+        let a: PCell<u64, CB> = PCell::new(1);
+        let l: PCell<MarkedPtr<u64>, CB> = PCell::new(MarkedPtr::null());
+        let (d, r) = counted(|| {
+            NvTraverse::<CB>::make_persistent(&[a.addr(), l.addr()]);
+            NvTraverse::<CB>::c_cas_link(&l, MarkedPtr::null(), MarkedPtr::null())
+        });
+        assert!(r.is_ok());
+        assert_eq!((d.flushes, d.fences), (3, 1), "one fence: the CAS's pre-fence");
+        NvTraverse::<CB>::before_return();
+    }
+
+    #[test]
+    fn nvtraverse_fence_before_write_drains_pending_flushes() {
+        let a: PCell<u64, CB> = PCell::new(1);
+        let (d, _) = counted(|| {
+            NvTraverse::<CB>::make_persistent(&[a.addr()]);
+            NvTraverse::<CB>::fence_before_write();
+            // Nothing pending now: a second one is elided.
+            NvTraverse::<CB>::fence_before_write();
+        });
+        assert_eq!((d.flushes, d.fences), (1, 1));
+    }
+
+    #[test]
+    fn nvtraverse_lookup_in_a_batch_fences_only_at_close() {
+        use nvtraverse_pmem::batch::FenceBatch;
+        let a: PCell<u64, CB> = PCell::new(1);
+        let (d, _) = counted(|| {
+            let b = FenceBatch::<CB>::begin();
+            let (inside, _) = counted(|| {
+                NvTraverse::<CB>::make_persistent(&[a.addr()]);
+                NvTraverse::<CB>::before_return();
+            });
+            assert_eq!((inside.flushes, inside.fences), (1, 0), "no fence before close");
+            assert_eq!(b.close(), 1);
+        });
+        assert_eq!(d.fences, 1, "the batch's closing fence drains the window flush");
+        assert!(!nvtraverse_pmem::flushes_pending());
     }
 
     #[test]

@@ -21,9 +21,16 @@
 //! durability policies' `before_return` calls [`defer_closing_fence`]
 //! instead of fencing; the batch's [`close`](FenceBatch::close) (or drop,
 //! on panic paths) issues the single shared fence. Only the *closing*
-//! fence is deferrable: pre-CAS fences and `make_persistent`'s fence
-//! order stores for other threads (helping) and must stay where the
-//! protocols put them.
+//! fence is deferrable: a pre-write fence must drain the thread's flushes
+//! before its write can persist, so it stays where the protocols put it.
+//!
+//! Protocol 1's `makePersistent` needs no fence of its own either. A fence
+//! only drains the issuing thread's flushes, and between `makePersistent`
+//! and the next Protocol 2 fence — the pre-fence of the first critical
+//! write, or the closing fence — the thread only reads and flushes; that
+//! next fence drains the window flushes with everything else. So a lookup,
+//! which writes nothing, has the closing fence as its only fence, and in a
+//! batch it shares the batch's one fence.
 //!
 //! The state is thread-local: a batch covers the operations *this* thread
 //! executes inside the scope, which is the server's unit of group commit
@@ -224,6 +231,31 @@ mod tests {
         });
         assert_eq!(n, 1, "unwinding must not leak the deferred fence");
         assert!(!batch_active(), "panic must not leave the scope open");
+    }
+
+    #[test]
+    fn a_crash_inside_a_sim_batch_unwinds_cleanly() {
+        use crate::sim::{run_crashable, SimHandle};
+        use crate::{PCell, Sim};
+        let sim = SimHandle::new();
+        let _g = sim.enter();
+        let c: PCell<u64, Sim> = PCell::new(0);
+        sim.register_cell(c.addr() as usize);
+        let r = run_crashable(|| {
+            let _b = FenceBatch::<Sim>::begin();
+            c.store(1);
+            Sim::flush(c.addr());
+            assert!(defer_closing_fence(), "the batch owes one fence at drop");
+            sim.trigger_crash();
+            c.store(2); // crashes; the batch's drop must not re-raise
+        });
+        assert!(r.is_err(), "the crash must surface as a CrashSignal");
+        assert!(!batch_active(), "the scope must close during the unwind");
+        assert_eq!(
+            sim.persisted_bits(c.addr() as usize),
+            Some(crate::POISON),
+            "the unfenced store must not persist"
+        );
     }
 
     #[test]

@@ -526,8 +526,16 @@ pub(crate) fn on_flush(addr: usize) {
 }
 
 /// A simulated fence: publish the thread's buffered flushes one at a time.
+///
+/// A fence issued by a destructor while a simulated crash unwinds (a
+/// [`FenceBatch`](crate::batch::FenceBatch) open across the crash point)
+/// persists nothing — the machine is already down — and returns instead of
+/// raising a second [`CrashSignal`] mid-unwind, which would abort.
 pub(crate) fn on_fence() {
     with_ctx(|ctx| {
+        if std::thread::panicking() && ctx.registry.crashed.load(Ordering::SeqCst) {
+            return;
+        }
         ctx.registry.tick(None);
         while let Some((addr, bits, ver)) = ctx.pending.pop() {
             ctx.registry.persist_versioned(addr, bits, ver);

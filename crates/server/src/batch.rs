@@ -16,8 +16,12 @@
 //!   B flushes + **1** fence — fences/op = 1/B, the floor.
 //! * **NVTraverse**: the closing fence is one of the op's constant fence
 //!   count, so a batch saves exactly B−1 fences versus B singles.
+//! * **Lookups**, under either policy, share the batch fence: a get writes
+//!   nothing, so its closing fence is its only one. Under NVTraverse its
+//!   window flushes stay pending until the next update's pre-CAS fence or
+//!   the batch's fence drains them. A batch of gets costs one fence.
 //!
-//! `tests/persist_bounds.rs` pins both counts exactly.
+//! `tests/persist_bounds.rs` pins these counts exactly.
 
 use crate::proto::{Reply, Request};
 use crate::store::{ConnTokens, KvStore};

@@ -563,7 +563,11 @@ where
                     if let Some(h) = detect {
                         // Duplicate: the no-op linearizes right here — arm
                         // and publish together, both made durable by the
-                        // operation's closing `before_return` fence.
+                        // operation's closing `before_return` fence. The
+                        // window that decided it is still unfenced: drain
+                        // it first, so the NOOP word cannot persist ahead
+                        // of the state it was decided on.
+                        D::fence_before_write();
                         h.arm::<D::B>(0);
                         h.publish::<D::B>(false);
                     }
@@ -620,6 +624,8 @@ where
                     if let Some(h) = detect {
                         // Miss: a no-op remove. The MISS sentinel (not 0)
                         // distinguishes this from removing an untagged node.
+                        // Fenced first, as on the duplicate-insert path.
+                        D::fence_before_write();
                         h.arm::<D::B>(OP_TARGET_MISS);
                         h.publish::<D::B>(false);
                     }

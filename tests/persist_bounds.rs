@@ -16,12 +16,14 @@
 //!
 //! Measured single-threaded (no helping, no contention) after a 32-key
 //! prefill. The exact uncontended costs observed when the bounds were set
-//! are listed per test; each asserted bound adds only modest slack (under
-//! 2× the observation, except where the structure itself is randomized —
-//! the skiplist's tower-height draw — or where helping can legitimately
-//! repeat work — the Ellen BST's descriptors). These are regression
-//! tripwires, not estimates: a policy change that adds a few persistence
-//! instructions per op trips them.
+//! are listed per test. The set structures' **fence** bounds are exact:
+//! where a fence lands depends only on the protocol, never on allocator
+//! state. Flush bounds add only modest slack (under 2× the observation,
+//! except where the structure itself is randomized — the skiplist's
+//! tower-height draw — or where helping can legitimately repeat work — the
+//! Ellen BST's descriptors), because a node that straddles a cache line
+//! costs one more flush. These are regression tripwires, not estimates: a
+//! policy change that adds a persistence instruction per op trips them.
 
 use nvtraverse::detect::OpTable;
 use nvtraverse::policy::{NvTraverse, Soft};
@@ -71,7 +73,10 @@ fn assert_bound(what: &str, (fl, fe): (u64, u64), max_flushes: u64, max_fences: 
 }
 
 /// Prefills a set with the even keys below `2 * PREFILL`, then measures one
-/// insert of an absent key and one remove of a present key.
+/// insert of an absent key and one remove of a present key, plus a hit and
+/// a miss lookup. A lookup's whole fence budget is its closing fence: the
+/// window flushes of `makePersistent` are pending at return and nothing
+/// else fences them.
 fn set_bounds<S: DurableSet<u64, u64>>(
     name: &str,
     make: impl FnOnce() -> S,
@@ -83,51 +88,58 @@ fn set_bounds<S: DurableSet<u64, u64>>(
     }
     let ins = counted(|| assert!(s.insert(33, 33)));
     let rem = counted(|| assert!(s.remove(16)));
+    let hit = counted(|| assert_eq!(s.get(14), Some(7)));
+    let miss = counted(|| assert_eq!(s.get(15), None));
     let (ins_fl, ins_fe, rem_fl, rem_fe) = max;
     assert_bound(&format!("{name} insert"), ins, ins_fl, ins_fe);
     assert_bound(&format!("{name} remove"), rem, rem_fl, rem_fe);
+    for (what, (fl, fe)) in [("get(hit)", hit), ("get(miss)", miss)] {
+        assert!(fl >= 1, "{name} {what}: the window must be flushed");
+        assert_eq!(fe, 1, "{name} {what}: exactly the closing fence ({fl} flushes)");
+    }
 }
 
-// Observed: insert 6/3 (new node + pred link; Protocol 1's parent flush
+// Observed: insert 5/2 (new node + pred link; Protocol 1's parent flush
 // dedupes into `makePersistent` when the parent is also a field), remove
-// 6/4 (mark + unlink + retire bookkeeping). The flush count wobbles by one
-// with allocator slab state.
+// 6/3 (mark + unlink + retire bookkeeping). The flush count wobbles by one
+// with allocator slab state. Each op's first fence is its first CAS's
+// pre-fence, which also drains the window flushes.
 #[test]
 fn list_bounds() {
-    set_bounds("list", HarrisList::<u64, u64, D>::new, (8, 4, 8, 5));
+    set_bounds("list", HarrisList::<u64, u64, D>::new, (8, 2, 8, 3));
 }
 
-// Observed: insert 4/3, remove 5/4 — one bucket is one Harris list (the
+// Observed: insert 3–4/2, remove 5/3 — one bucket is one Harris list (the
 // insert is cheaper than the list's because the bucket is near-empty).
 #[test]
 fn hash_bounds() {
-    set_bounds("hash", || HashMapDs::<u64, u64, D>::new(64), (6, 4, 7, 5));
+    set_bounds("hash", || HashMapDs::<u64, u64, D>::new(64), (6, 2, 7, 3));
 }
 
-// Observed: insert 7/3, remove 6/4 — and, unlike the pre-sanitizer
+// Observed: insert 7–8/2, remove 6/3 — and, unlike the pre-sanitizer
 // bounds, *independent* of the tower-height draw: only `next[0]` is
 // durable, the upper tower links are volatile raw CASes that cost no
 // persistence instructions (the vet sanitizer pins this — they are
 // declared volatile-by-design at allocation).
 #[test]
 fn skiplist_bounds() {
-    set_bounds("skiplist", SkipList::<u64, u64, D>::new, (12, 5, 12, 6));
+    set_bounds("skiplist", SkipList::<u64, u64, D>::new, (12, 2, 12, 3));
 }
 
-// Observed: insert 15/5, remove 11/6 — internal+leaf node pair plus the
-// Info descriptor, and the help path flushes descriptor state again while
-// completing the operation it itself installed.
+// Observed: insert 15–16/4, remove 11–12/5 — internal+leaf node pair plus
+// the Info descriptor, and the help path flushes descriptor state again
+// while completing the operation it itself installed.
 #[test]
 fn ellen_bst_bounds() {
-    set_bounds("ellen-bst", EllenBst::<u64, u64, D>::new, (18, 7, 15, 8));
+    set_bounds("ellen-bst", EllenBst::<u64, u64, D>::new, (18, 4, 15, 5));
 }
 
-// Observed: insert 7/3, remove 10/4 — internal+leaf pair, edge-CAS
+// Observed: insert 6–7/2, remove 10/4 — internal+leaf pair, edge-CAS
 // based deletion (no descriptors, but the two-step flag+prune remove
 // persists both edges).
 #[test]
 fn nm_bst_bounds() {
-    set_bounds("nm-bst", NmBst::<u64, u64, D>::new, (10, 5, 13, 6));
+    set_bounds("nm-bst", NmBst::<u64, u64, D>::new, (10, 2, 13, 4));
 }
 
 // Observed: enqueue 3/3, dequeue 3/2 (the tail shortcut is volatile — it
@@ -163,9 +175,11 @@ fn stack_bounds() {
 /// flushed as one range) and the result publish — so at most **+2 flushes
 /// and at most `max_d_fences` fences**. On the effectful paths that is
 /// **+0**: arming and publishing ride the operation's own fences. On the
-/// no-op paths it is **+1**: the plain no-op has nothing pending at return
-/// so its closing fence is elided entirely, while the detectable no-op
-/// still needs one fence to make its arm+publish words durable.
+/// no-op paths it is **+1**: the plain no-op's one fence is its closing
+/// fence, which drains the window flushes; the detectable no-op must drain
+/// the window *before* arming (the NOOP word may not persist ahead of the
+/// state that decided it) and then fence again to make its arm+publish
+/// words durable.
 fn assert_detectable_delta(
     what: &str,
     plain: (u64, u64),
@@ -247,8 +261,7 @@ fn detectable_delta_bounds<S: DurableSet<u64, u64>>(name: &str, make: impl FnOnc
 
 // Observed: +2 flushes / +0 fences on the effectful paths, +2/+1 on the
 // duplicate-insert path (arm and publish share the slot's cache line but
-// are separate flush instructions; the fence is the descriptor's own —
-// the plain no-op doesn't pay one at all).
+// are separate flush instructions; the extra fence is the pre-arm one).
 #[test]
 fn list_detectable_delta() {
     detectable_delta_bounds("list", HarrisList::<u64, u64, D>::new);
@@ -405,6 +418,52 @@ fn soft_batch_hits_the_one_fence_floor() {
         assert_eq!(scope.close(), 2 * B, "every op defers its closing fence");
     });
     assert_eq!(mixed, (B, 1), "lookups add no flushes and share the one fence");
+}
+
+/// NVTraverse lookups in a batch share the batch's one closing fence, as
+/// SOFT's do: a get's only fence is its deferred closing fence (its window
+/// flushes drain at the next insert's pre-CAS fence or at the batch's
+/// close). So B gets mixed into a batch of B inserts add **zero** fences,
+/// and a batch of gets alone costs exactly one.
+#[test]
+fn nvtraverse_batched_gets_share_one_fence() {
+    const B: u64 = 16;
+    let run = |with_gets: bool| {
+        let s = HashMapDs::<u64, u64, D>::new(64);
+        for k in 0..PREFILL {
+            assert!(s.insert(k * 2, k));
+        }
+        counted(|| {
+            let scope = FenceBatch::<Count<Noop>>::begin();
+            for i in 0..B {
+                assert!(s.insert(101 + 2 * i, i));
+                if with_gets {
+                    assert_eq!(s.get(14), Some(7));
+                }
+            }
+            let ops = if with_gets { 2 * B } else { B };
+            assert_eq!(scope.close(), ops, "every op defers its closing fence");
+        })
+    };
+    let (inserts, mixed) = (run(false), run(true));
+    assert_eq!(
+        mixed.1, inserts.1,
+        "gets must add no fences to a batch (inserts only {inserts:?}, mixed {mixed:?})"
+    );
+    assert!(mixed.0 > inserts.0, "the gets still flush their windows");
+
+    let s = HashMapDs::<u64, u64, D>::new(64);
+    for k in 0..PREFILL {
+        assert!(s.insert(k * 2, k));
+    }
+    let gets = counted(|| {
+        let scope = FenceBatch::<Count<Noop>>::begin();
+        for i in 0..B {
+            s.get(i);
+        }
+        assert_eq!(scope.close(), B);
+    });
+    assert_eq!(gets.1, 1, "a B-get batch costs exactly the one closing fence ({gets:?})");
 }
 
 /// The same arithmetic through the **server's** batch executor
