@@ -560,7 +560,8 @@ pub fn ablation_parent(mode: Mode) {
 /// Two sections per structure: a throughput update-% sweep, and the counted
 /// persistence instructions per operation (the mechanism behind any gap —
 /// SOFT pays one flush per update and none per lookup, NVTraverse flushes
-/// the critical window; `tests/persist_bounds.rs` pins the exact columns).
+/// the new node and the links it writes, plus any window line a write
+/// still holds; `tests/persist_bounds.rs` pins the exact columns).
 pub fn soft_vs_nvt(mode: Mode) {
     type CB = Count<Noop>;
 

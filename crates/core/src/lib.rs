@@ -23,7 +23,10 @@
 //! read in the returned nodes; the paper's fence after it is merged into the
 //! next Protocol 2 fence). Inside `critical`, Protocol 2 applies: flush
 //! after every shared read and every write/CAS, fence before every
-//! write/CAS and before returning.
+//! write/CAS and before returning. [`NvTraverse`] tracks which cache lines
+//! hold a write still waiting for its writer's fence and skips every
+//! read-side flush of any other line, which would persist nothing — so a
+//! lookup of quiescent state costs no flush and no fence.
 //!
 //! ## How this crate encodes the transformation
 //!
@@ -69,12 +72,21 @@
 //! use nvtraverse_obs as obs;
 //! use nvtraverse_pmem::{Count, Noop, PCell};
 //!
-//! // A shared cell read in a critical section: NVTraverse flushes it...
-//! let cell: PCell<u64, Count<Noop>> = PCell::new(5);
-//! let (c, _) = obs::counted(|| NvTraverse::<Count<Noop>>::c_load(&cell));
-//! assert!(c.flushes >= 1 || !obs::enabled());
+//! type D = NvTraverse<Count<Noop>>;
 //!
-//! // ...while the original algorithm does not.
+//! // A shared cell read in a critical section: NVTraverse flushes it while
+//! // a write to it is waiting for its fence...
+//! let cell: PCell<u64, Count<Noop>> = PCell::new(5);
+//! D::c_store(&cell, 6);
+//! let (c, _) = obs::counted(|| D::c_load(&cell));
+//! assert!(c.flushes == 1 || !obs::enabled());
+//!
+//! // ...and not once that write is fenced: the flush would persist nothing.
+//! D::before_return();
+//! let (c, _) = obs::counted(|| D::c_load(&cell));
+//! assert_eq!(c.flushes, 0);
+//!
+//! // The original algorithm never flushes.
 //! let cell: PCell<u64, Noop> = PCell::new(5);
 //! let _ = Volatile::c_load(&cell);
 //! ```

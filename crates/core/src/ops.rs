@@ -183,7 +183,7 @@ mod tests {
     use super::*;
     use crate::policy::{NvTraverse, Volatile};
     use nvtraverse_ebr::Collector;
-    use nvtraverse_pmem::{Count, Noop, PCell};
+    use nvtraverse_pmem::{Backend, Count, Noop, PCell};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A fake one-cell "structure" that restarts a configurable number of
@@ -255,6 +255,9 @@ mod tests {
         };
         let c = Collector::new();
         let g = c.pin();
+        // A write to the cell is waiting for its fence, so Protocol 1 must
+        // flush it.
+        Count::<Noop>::hold(b.cell.addr());
         let (d, _) = nvtraverse_obs::counted(|| run_operation(&b, &g, 1));
         // Two attempts: the parent is also the (sole) persist-set field, so
         // `ensure_reachable` is skipped and each attempt is one flush.
@@ -263,6 +266,10 @@ mod tests {
         // before_return fence.
         assert_eq!(d.flushes, 2);
         assert_eq!(d.fences, 1);
+        // That fence released the line: the same operation is now free.
+        b.restarts_left.store(1, Ordering::Relaxed);
+        let (d, _) = nvtraverse_obs::counted(|| run_operation(&b, &g, 1));
+        assert_eq!((d.flushes, d.fences), (0, 0));
     }
 
     #[test]
@@ -297,6 +304,9 @@ mod tests {
         };
         let c = Collector::new();
         let g = c.pin();
+        // Writes to both cells are waiting for their fence.
+        Count::<Noop>::hold(s.parent.addr());
+        Count::<Noop>::hold(s.field.addr());
         let (d, ()) = nvtraverse_obs::counted(|| run_operation(&s, &g, ()));
         // ensure_reachable(parent) + make_persistent([field]), drained by
         // the closing fence; the duplicated field is flushed once.

@@ -43,6 +43,19 @@
 //! write in `critical` without a pre-write fence — the `c_*` writes fence
 //! themselves, and a structure that writes persistent memory by other means
 //! calls [`fence_before_write`](Durability::fence_before_write) first.
+//!
+//! `NvTraverse` also skips every read-side flush that would persist
+//! nothing (after FliT, Wei et al., PPoPP 2022). Each `c_*` write
+//! [holds](Backend::hold) its cache line from just before the write until
+//! the writer's next fence has completed; `ensure_reachable`,
+//! `make_persistent`, `c_load` and `c_load_link` flush a line only if it
+//! [may be dirty](Backend::maybe_dirty). A line nobody holds has had every
+//! tracked write flushed and fenced, so its flush is a no-op under the §2
+//! model. This is sound as long as every mutable word a persist set or a
+//! `c_load` can name is written through `c_*`, or before its node is
+//! published (`persist_new_node`, drained by the linking CAS's pre-fence);
+//! ARCHITECTURE.md records the audit of the raw writers. A lookup of
+//! quiescent state therefore costs no flush and no fence.
 
 use crate::marked::MarkedPtr;
 use nvtraverse_obs as obs;
@@ -61,6 +74,20 @@ use std::marker::PhantomData;
 fn fence_if_pending<B: Backend>() {
     if nvtraverse_pmem::flushes_pending() {
         B::fence();
+    }
+}
+
+/// Flushes `addr` only if some thread's write to its line may still be
+/// waiting for its fence ([`Backend::maybe_dirty`]). Otherwise the flush
+/// would persist nothing, so it is skipped — and, under the crash
+/// simulator, reported to the observer so the vet sanitizer can check that
+/// the skipped word really was persisted.
+#[inline]
+fn flush_if_dirty<B: Backend>(addr: *const u8) {
+    if B::maybe_dirty(addr) {
+        B::flush(addr);
+    } else if B::SIM {
+        nvtraverse_pmem::sim::current_elided_flush(addr as usize);
     }
 }
 
@@ -105,7 +132,9 @@ pub trait Durability: Send + Sync + 'static {
     /// pending until the next Protocol 2 fence — before the first critical
     /// write, or [`before_return`](Durability::before_return) — which
     /// drains them before anything that depends on them is written or
-    /// returned.
+    /// returned. `NvTraverse` flushes only the fields whose line some
+    /// thread's write still holds ([`Backend::maybe_dirty`]): the flush of
+    /// any other field would persist nothing.
     fn make_persistent(addrs: &[*const u8]);
 
     // ---- critical phase (Protocol 2) --------------------------------------
@@ -225,7 +254,8 @@ impl Durability for Volatile {
 
 /// The paper's transformation (§4): nothing persists during the traversal;
 /// Protocol 1 persists the traversal's destination; Protocol 2 persists every
-/// shared access in the critical method.
+/// shared access in the critical method. Reads flush only lines that a
+/// write still waiting for its fence holds (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NvTraverse<B>(PhantomData<fn() -> B>);
 
@@ -245,34 +275,38 @@ impl<B: Backend> Durability for NvTraverse<B> {
     #[inline]
     fn ensure_reachable(addr: *const u8) {
         let _p = obs::phase(obs::Phase::Critical);
-        B::flush(addr);
+        flush_if_dirty::<B>(addr);
     }
     #[inline]
     fn make_persistent(addrs: &[*const u8]) {
         // No fence: the next Protocol 2 fence drains these flushes.
         let _p = obs::phase(obs::Phase::Critical);
         for &a in addrs {
-            B::flush(a);
+            flush_if_dirty::<B>(a);
         }
     }
     #[inline]
     fn c_load<T: Word>(cell: &PCell<T, B>) -> T {
         let _p = obs::phase(obs::Phase::Critical);
         let v = cell.load();
-        B::flush(cell.addr());
+        flush_if_dirty::<B>(cell.addr());
         v
     }
     #[inline]
     fn c_load_link<T>(cell: &PCell<MarkedPtr<T>, B>) -> MarkedPtr<T> {
         let _p = obs::phase(obs::Phase::Critical);
         let v = cell.load();
-        B::flush(cell.addr());
+        flush_if_dirty::<B>(cell.addr());
         v
     }
+    // Each write holds its line after the pre-fence (which would otherwise
+    // release the hold before the write's own flush) and before the write
+    // (so a reader that sees the value also sees the hold).
     #[inline]
     fn c_store<T: Word>(cell: &PCell<T, B>, value: T) {
         let _p = obs::phase(obs::Phase::Critical);
         fence_if_pending::<B>();
+        B::hold(cell.addr());
         cell.store(value);
         B::flush(cell.addr());
     }
@@ -280,6 +314,7 @@ impl<B: Backend> Durability for NvTraverse<B> {
     fn c_cas<T: Word>(cell: &PCell<T, B>, current: T, new: T) -> Result<T, T> {
         let _p = obs::phase(obs::Phase::Critical);
         fence_if_pending::<B>();
+        B::hold(cell.addr());
         let r = cell.compare_exchange(current, new);
         B::flush(cell.addr());
         r
@@ -292,6 +327,7 @@ impl<B: Backend> Durability for NvTraverse<B> {
     ) -> Result<(), MarkedPtr<T>> {
         let _p = obs::phase(obs::Phase::Critical);
         fence_if_pending::<B>();
+        B::hold(cell.addr());
         let r = cell.compare_exchange(current, new);
         B::flush(cell.addr());
         r.map(drop)
@@ -426,12 +462,12 @@ impl<B: Backend> Durability for Izraelevitz<B> {
 /// competitor of the paper's §5.3 (the "Log Free" series).
 ///
 /// Every link word carries a *dirty* bit. A modifying CAS installs the new
-/// link with the dirty bit set, flushes, and then clears the bit with a
-/// second CAS; any reader that observes a dirty link helps: it flushes the
-/// word, fences, clears the bit, and proceeds. A clean link is therefore
-/// *known persisted* and is never flushed again — saving flushes under
-/// contention at the price of one extra CAS per flush, which is exactly the
-/// trade-off the paper's DRAM-machine figures explore.
+/// link with the dirty bit set, flushes, and clears the bit with a second
+/// CAS after its next fence; any reader that observes a dirty link helps:
+/// it flushes the word, fences, clears the bit, and proceeds. A clean link
+/// is therefore *known persisted* and is never flushed again — saving
+/// flushes under contention at the price of one extra CAS per flush, which
+/// is exactly the trade-off the paper's DRAM-machine figures explore.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LinkPersist<B>(PhantomData<fn() -> B>);
 
@@ -524,8 +560,16 @@ impl<B: Backend> Durability for LinkPersist<B> {
             match cell.compare_exchange(observed, new.with_dirty()) {
                 Ok(_) => {
                     B::flush(cell.addr());
-                    // Clear the dirty bit; failure means a helper already did.
-                    let _ = cell.compare_exchange(new.with_dirty(), new);
+                    // Clear the dirty bit once this thread's next fence has
+                    // made the link durable: a reader that sees it clean
+                    // neither flushes nor fences. Failure means a helper
+                    // already cleared it.
+                    // SAFETY: the link's node is protected by this
+                    // operation's EBR guard, and the operation fences before
+                    // the guard drops — at its next pre-write fence or at
+                    // `before_return`, which does not defer while a clear is
+                    // queued.
+                    unsafe { B::cas_after_fence(cell, new.with_dirty(), new) };
                     return Ok(());
                 }
                 Err(_) => continue,
@@ -539,7 +583,11 @@ impl<B: Backend> Durability for LinkPersist<B> {
     }
     #[inline]
     fn before_return() {
-        if nvtraverse_pmem::batch::defer_closing_fence() {
+        // A queued dirty-bit clear must run while this operation's guard
+        // still protects its link, so it is not left to a batch's fence.
+        if !nvtraverse_pmem::cas_after_fence_pending()
+            && nvtraverse_pmem::batch::defer_closing_fence()
+        {
             return; // absorbed by the enclosing FenceBatch
         }
         let _p = obs::phase(obs::Phase::Critical);
@@ -677,11 +725,42 @@ mod tests {
         assert_eq!((d.flushes, d.fences), (0, 0), "the journey must be free");
     }
 
+    /// Marks each address as written by this thread and not yet fenced:
+    /// the state in which `NvTraverse`'s reads must flush it. The thread's
+    /// next fence releases them.
+    fn hold(addrs: &[*const u8]) {
+        for &a in addrs {
+            CB::hold(a);
+        }
+    }
+
     #[test]
-    fn nvtraverse_critical_read_flushes_once() {
+    fn nvtraverse_critical_read_flushes_only_a_held_line() {
         let c: PCell<u64, CB> = PCell::new(1);
         let (d, _) = counted(|| NvTraverse::<CB>::c_load(&c));
+        assert_eq!(
+            (d.flushes, d.fences),
+            (0, 0),
+            "no write waits: nothing to persist"
+        );
+        hold(&[c.addr()]);
+        let (d, _) = counted(|| NvTraverse::<CB>::c_load(&c));
         assert_eq!((d.flushes, d.fences), (1, 0));
+        NvTraverse::<CB>::before_return();
+    }
+
+    #[test]
+    fn nvtraverse_writes_hold_their_line_until_the_next_fence() {
+        let c: PCell<u64, CB> = PCell::new(1);
+        assert!(!CB::maybe_dirty(c.addr()));
+        NvTraverse::<CB>::c_store(&c, 2);
+        assert!(CB::maybe_dirty(c.addr()), "written and flushed, not fenced");
+        assert_eq!(NvTraverse::<CB>::c_cas(&c, 7, 8), Err(2));
+        NvTraverse::<CB>::before_return();
+        assert!(
+            !CB::maybe_dirty(c.addr()),
+            "the closing fence released both holds"
+        );
     }
 
     #[test]
@@ -692,11 +771,13 @@ mod tests {
         let (d, r) = counted(|| NvTraverse::<CB>::c_cas(&c, 1, 2));
         assert_eq!(r, Ok(1));
         assert_eq!((d.flushes, d.fences), (1, 0));
+        NvTraverse::<CB>::before_return();
     }
 
     #[test]
     fn nvtraverse_cas_fences_before_when_a_flush_is_pending() {
         let c: PCell<u64, CB> = PCell::new(1);
+        hold(&[c.addr()]);
         let (d, r) = counted(|| {
             // The critical read's flush is still unfenced when the CAS
             // runs, so the pre-fence must be issued to persist it.
@@ -705,12 +786,30 @@ mod tests {
         });
         assert_eq!(r, Ok(1));
         assert_eq!((d.flushes, d.fences), (2, 1));
+        NvTraverse::<CB>::before_return();
+    }
+
+    #[test]
+    fn nvtraverse_make_persistent_skips_quiescent_lines() {
+        let a: PCell<u64, CB> = PCell::new(1);
+        let b: PCell<u64, CB> = PCell::new(2);
+        let (d, _) = counted(|| {
+            NvTraverse::<CB>::ensure_reachable(a.addr());
+            NvTraverse::<CB>::make_persistent(&[a.addr(), b.addr()]);
+            NvTraverse::<CB>::before_return();
+        });
+        assert_eq!(
+            (d.flushes, d.fences),
+            (0, 0),
+            "a quiescent lookup costs nothing"
+        );
     }
 
     #[test]
     fn nvtraverse_make_persistent_flushes_without_fencing() {
         let a: PCell<u64, CB> = PCell::new(1);
         let b: PCell<u64, CB> = PCell::new(2);
+        hold(&[a.addr(), b.addr()]);
         let (d, _) = counted(|| {
             NvTraverse::<CB>::ensure_reachable(a.addr());
             NvTraverse::<CB>::make_persistent(&[a.addr(), b.addr()]);
@@ -724,6 +823,7 @@ mod tests {
     fn nvtraverse_window_flushes_ride_the_linking_cas_fence() {
         let a: PCell<u64, CB> = PCell::new(1);
         let l: PCell<MarkedPtr<u64>, CB> = PCell::new(MarkedPtr::null());
+        hold(&[a.addr(), l.addr()]);
         let (d, r) = counted(|| {
             NvTraverse::<CB>::make_persistent(&[a.addr(), l.addr()]);
             NvTraverse::<CB>::c_cas_link(&l, MarkedPtr::null(), MarkedPtr::null())
@@ -736,6 +836,7 @@ mod tests {
     #[test]
     fn nvtraverse_fence_before_write_drains_pending_flushes() {
         let a: PCell<u64, CB> = PCell::new(1);
+        hold(&[a.addr()]);
         let (d, _) = counted(|| {
             NvTraverse::<CB>::make_persistent(&[a.addr()]);
             NvTraverse::<CB>::fence_before_write();
@@ -749,6 +850,7 @@ mod tests {
     fn nvtraverse_lookup_in_a_batch_fences_only_at_close() {
         use nvtraverse_pmem::batch::FenceBatch;
         let a: PCell<u64, CB> = PCell::new(1);
+        hold(&[a.addr()]);
         let (d, _) = counted(|| {
             let b = FenceBatch::<CB>::begin();
             let (inside, _) = counted(|| {
@@ -760,6 +862,16 @@ mod tests {
         });
         assert_eq!(d.fences, 1, "the batch's closing fence drains the window flush");
         assert!(!nvtraverse_pmem::flushes_pending());
+
+        // Once that fence released the line, the same lookup is free, and
+        // so is the batch around it.
+        let (d, _) = counted(|| {
+            let b = FenceBatch::<CB>::begin();
+            NvTraverse::<CB>::make_persistent(&[a.addr()]);
+            NvTraverse::<CB>::before_return();
+            assert_eq!(b.close_fenced(), (1, false));
+        });
+        assert_eq!((d.flushes, d.fences), (0, 0));
     }
 
     #[test]
@@ -809,10 +921,16 @@ mod tests {
         let (d, r) =
             counted(|| LinkPersist::<CB>::c_cas_link(&l, MarkedPtr::null(), MarkedPtr::new(node)));
         assert!(r.is_ok());
+        assert_eq!(d.flushes, 1);
+        assert_eq!(
+            l.load(),
+            MarkedPtr::new(node).with_dirty(),
+            "the bit stays set until the writer's fence"
+        );
+        LinkPersist::<CB>::before_return();
         let stored = l.load();
         assert_eq!(stored, MarkedPtr::new(node));
         assert!(!stored.is_dirty());
-        assert_eq!(d.flushes, 1);
         unsafe { drop(Box::from_raw(node)) };
     }
 
@@ -825,11 +943,25 @@ mod tests {
         let l: PCell<MarkedPtr<u64>, CB> = PCell::new(MarkedPtr::new(a).with_dirty());
         let r = LinkPersist::<CB>::c_cas_link(&l, MarkedPtr::new(a), MarkedPtr::new(b));
         assert!(r.is_ok());
+        LinkPersist::<CB>::before_return();
         assert_eq!(l.load(), MarkedPtr::new(b));
         unsafe {
             drop(Box::from_raw(a));
             drop(Box::from_raw(b));
         }
+    }
+
+    #[test]
+    fn link_persist_clear_is_not_left_to_a_batch() {
+        use nvtraverse_pmem::batch::FenceBatch;
+        let node = Box::into_raw(Box::new(1u64));
+        let l: PCell<MarkedPtr<u64>, CB> = PCell::new(MarkedPtr::null());
+        let b = FenceBatch::<CB>::begin();
+        assert!(LinkPersist::<CB>::c_cas_link(&l, MarkedPtr::null(), MarkedPtr::new(node)).is_ok());
+        LinkPersist::<CB>::before_return();
+        assert!(!l.load().is_dirty(), "the clear ran at the op's own fence");
+        assert_eq!(b.close(), 0, "that fence was not deferred");
+        unsafe { drop(Box::from_raw(node)) };
     }
 
     #[test]
@@ -844,6 +976,70 @@ mod tests {
             drop(Box::from_raw(a));
             drop(Box::from_raw(b));
         }
+    }
+
+    /// A reader that sees a link-and-persist link clean neither flushes
+    /// nor fences, so the writer may clear the dirty bit only once its own
+    /// fence has made the link durable. Here the writer installs a link and
+    /// stalls before any fence; a reader on another thread then loads it,
+    /// and a crash follows. Whatever the reader returned must have survived.
+    #[test]
+    fn link_persist_reader_never_returns_an_unfenced_link() {
+        use nvtraverse_pmem::sim::SimHandle;
+        use nvtraverse_pmem::Sim;
+        use std::sync::mpsc;
+
+        let sim = SimHandle::new();
+        let node = Box::into_raw(Box::new(7u64));
+        let link: Box<PCell<MarkedPtr<u64>, Sim>> = Box::new(PCell::new(MarkedPtr::null()));
+        {
+            let _g = sim.enter();
+            sim.register_cell(link.addr() as usize);
+            Sim::flush(link.addr());
+            Sim::fence();
+        }
+        let seen = std::thread::scope(|s| {
+            let (installed, wait_installed) = mpsc::channel();
+            let (read, wait_read) = mpsc::channel::<()>();
+            let (link, sim_w, node_addr) = (&*link, sim.clone(), node as usize);
+            s.spawn(move || {
+                let _g = sim_w.enter();
+                let new = MarkedPtr::new(node_addr as *mut u64);
+                let r = LinkPersist::<Sim>::c_cas_link(link, MarkedPtr::null(), new);
+                assert!(r.is_ok());
+                installed.send(()).unwrap();
+                // Stall, unfenced, until the reader is done; then "crash".
+                let _ = wait_read.recv();
+            });
+            wait_installed.recv().unwrap();
+            let sim_r = sim.clone();
+            let seen = s
+                .spawn(move || {
+                    let _g = sim_r.enter();
+                    let v = LinkPersist::<Sim>::t_load_link(link);
+                    LinkPersist::<Sim>::before_return();
+                    v
+                })
+                .join()
+                .unwrap();
+            read.send(()).unwrap();
+            seen
+        });
+        assert_eq!(
+            seen,
+            MarkedPtr::new(node),
+            "the reader saw the installed link"
+        );
+        let _g = sim.enter();
+        // SAFETY: both threads have joined; the link and node are live.
+        unsafe { sim.crash_and_rollback() };
+        assert_eq!(
+            sim.persisted_bits(link.addr() as usize)
+                .map(|b| b & !crate::marked::DIRTY_BIT),
+            Some(MarkedPtr::new(node).bits()),
+            "the reader returned a link that the crash lost"
+        );
+        unsafe { drop(Box::from_raw(node)) };
     }
 
     #[test]
@@ -888,8 +1084,11 @@ mod tests {
     #[test]
     fn before_return_defers_inside_a_fence_batch() {
         use nvtraverse_pmem::batch::FenceBatch;
+        let n: PCell<u64, CB> = PCell::new(0);
         let (d, _) = counted(|| {
             let b = FenceBatch::<CB>::begin();
+            // Something to persist, so the batch's fence is not elided.
+            NvTraverse::<CB>::persist_new_node(n.addr(), 8);
             for _ in 0..4 {
                 NvTraverse::<CB>::before_return();
                 Soft::<CB>::before_return();

@@ -6,7 +6,9 @@
 //! reached persistent memory. The [`Backend`] trait captures that pair; the
 //! durability policies in the `nvtraverse` crate decide *where* to call them.
 
+use crate::cell::PCell;
 use crate::sim;
+use crate::word::Word;
 
 /// Size in bytes of one cache line, the granularity of hardware flushes.
 pub const CACHE_LINE: usize = 64;
@@ -32,6 +34,142 @@ mod pending {
     pub(super) fn any() -> bool {
         PENDING.with(|p| p.get() != 0)
     }
+}
+
+/// Write tracking: which cache lines may hold a write whose writer has not
+/// fenced yet.
+///
+/// A fixed-size, volatile table of 2^16 counters indexed by a hash of
+/// the line address (`addr >> 6`), plus a thread-local list of the slots
+/// the thread holds. A writer holds a line before writing it; the thread's
+/// next fence releases every slot it holds, **after** the fence
+/// instruction completes. So a zero counter means no tracked write to that
+/// line is still waiting for its fence: under the §2 model a flush of it
+/// would persist nothing, and readers may skip it (FliT, Wei et al.,
+/// PPoPP 2022). A hash collision only makes a line look dirty — one extra
+/// flush, never a skipped one.
+///
+/// The table is never allocated in a pool: after a restart every line
+/// holds whatever persisted, so an all-zero table is exact. A thread that
+/// exits between a write and its fence (a simulated crash) leaks its
+/// holds, which leaves those lines looking dirty for the rest of the
+/// process.
+pub(crate) mod track {
+    use crate::cell::PCell;
+    use crate::word::Word;
+    use crate::Backend;
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// log2 of the number of counters: 2^16 × 4 bytes = 256 KiB.
+    const BITS: u32 = 16;
+
+    static TABLE: [AtomicU32; 1 << BITS] = [const { AtomicU32::new(0) }; 1 << BITS];
+
+    /// A compare-and-swap to run after this thread's next fence.
+    struct Deferred {
+        cas: fn(usize, u64, u64),
+        addr: usize,
+        current: u64,
+        new: u64,
+    }
+
+    #[derive(Default)]
+    struct Held {
+        slots: Vec<u32>,
+        deferred: Vec<Deferred>,
+    }
+
+    thread_local! {
+        static HELD: RefCell<Held> = RefCell::new(Held::default());
+    }
+
+    #[inline]
+    fn slot(addr: *const u8) -> usize {
+        let line = addr as usize as u64 >> 6;
+        (line.wrapping_mul(crate::mix::GOLDEN) >> (64 - BITS)) as usize
+    }
+
+    #[inline]
+    pub(super) fn hold(addr: *const u8) {
+        let i = slot(addr);
+        TABLE[i].fetch_add(1, Ordering::SeqCst);
+        // A thread already tearing down its TLS leaks the hold: the line
+        // stays dirty-looking, which costs flushes, never correctness.
+        let _ = HELD.try_with(|h| h.borrow_mut().slots.push(i as u32));
+    }
+
+    #[inline]
+    pub(super) fn maybe_dirty(addr: *const u8) -> bool {
+        TABLE[slot(addr)].load(Ordering::SeqCst) != 0
+    }
+
+    fn cas_bits<B: Backend>(addr: usize, current: u64, new: u64) {
+        // SAFETY: `defer_cas`'s caller keeps the cell allocated until this
+        // thread's next fence, which is when this runs; `PCell` is
+        // `repr(transparent)` over its 64-bit word for every `T`.
+        let cell = unsafe { &*(addr as *const PCell<u64, B>) };
+        let _ = cell.compare_exchange(current, new);
+    }
+
+    /// # Safety
+    ///
+    /// `cell` must stay allocated until this thread's next fence.
+    pub(super) unsafe fn defer_cas<T: Word, B: Backend>(cell: &PCell<T, B>, current: T, new: T) {
+        let d = Deferred {
+            cas: cas_bits::<B>,
+            addr: cell.addr() as usize,
+            current: current.to_bits(),
+            new: new.to_bits(),
+        };
+        HELD.with(|h| h.borrow_mut().deferred.push(d));
+    }
+
+    #[inline]
+    pub(super) fn deferred_pending() -> bool {
+        HELD.try_with(|h| !h.borrow().deferred.is_empty())
+            .unwrap_or(false)
+    }
+
+    /// Called by every backend's fence once the fence instruction has
+    /// completed: drops this thread's holds and runs its deferred CASes.
+    #[inline]
+    pub(super) fn release() {
+        let _ = HELD.try_with(|h| {
+            let mut h = h.borrow_mut();
+            for i in h.slots.drain(..) {
+                TABLE[i as usize].fetch_sub(1, Ordering::SeqCst);
+            }
+            if h.deferred.is_empty() {
+                return;
+            }
+            let deferred = std::mem::take(&mut h.deferred);
+            drop(h);
+            for d in &deferred {
+                (d.cas)(d.addr, d.current, d.new);
+            }
+        });
+    }
+
+    /// After a simulated crash rollback every cell holds its persisted
+    /// value, so this thread's holds can go; its deferred CASes target
+    /// pre-crash memory and are dropped unrun.
+    pub(crate) fn forget() {
+        let _ = HELD.try_with(|h| {
+            let mut h = h.borrow_mut();
+            h.deferred.clear();
+            for i in h.slots.drain(..) {
+                TABLE[i as usize].fetch_sub(1, Ordering::SeqCst);
+            }
+        });
+    }
+}
+
+/// Whether the calling thread has a compare-and-swap queued with
+/// [`Backend::cas_after_fence`] that its next fence will run.
+#[inline]
+pub fn cas_after_fence_pending() -> bool {
+    track::deferred_pending()
 }
 
 /// Whether the calling thread has issued a flush (through any non-[`Noop`]
@@ -75,6 +213,40 @@ pub trait Backend: Send + Sync + 'static {
     /// are persistent.
     fn fence();
 
+    /// Records that this thread is about to write the line containing
+    /// `addr`. Until this thread's next fence completes,
+    /// [`maybe_dirty`](Backend::maybe_dirty) reports the line to every
+    /// thread. No fence may fall between the hold and the write's own
+    /// flush, or that fence would release a write it did not persist.
+    #[inline]
+    fn hold(addr: *const u8) {
+        track::hold(addr);
+    }
+
+    /// Whether the line containing `addr` may hold a write still waiting
+    /// for its writer's fence. `false` means a flush of it would persist
+    /// nothing: every tracked write to the line has been flushed and
+    /// fenced.
+    #[inline]
+    fn maybe_dirty(addr: *const u8) -> bool {
+        track::maybe_dirty(addr)
+    }
+
+    /// Runs `cell.compare_exchange(current, new)` once this thread's next
+    /// fence has completed, discarding the result.
+    ///
+    /// # Safety
+    ///
+    /// `cell` must stay allocated until this thread's next fence.
+    #[inline]
+    unsafe fn cas_after_fence<T: Word>(cell: &PCell<T, Self>, current: T, new: T)
+    where
+        Self: Sized,
+    {
+        // SAFETY: forwarded from this method's contract.
+        unsafe { track::defer_cas(cell, current, new) }
+    }
+
     /// Flushes every cache line overlapping `[addr, addr + len)`.
     ///
     /// Used to persist a freshly initialized node in one call; deduplicates
@@ -108,6 +280,19 @@ impl Backend for Noop {
     fn flush(_addr: *const u8) {}
     #[inline(always)]
     fn fence() {}
+    #[inline(always)]
+    fn hold(_addr: *const u8) {}
+    #[inline(always)]
+    fn maybe_dirty(_addr: *const u8) -> bool {
+        false
+    }
+    /// Nothing is ever pending, so the CAS runs now.
+    // SAFETY: no contract to uphold here — the cell is borrowed for the
+    // whole call, and nothing outlives it.
+    #[inline(always)]
+    unsafe fn cas_after_fence<T: Word>(cell: &PCell<T, Self>, current: T, new: T) {
+        let _ = cell.compare_exchange(current, new);
+    }
     #[inline(always)]
     fn flush_range(_addr: *const u8, _len: usize) {}
 }
@@ -213,6 +398,7 @@ impl Backend for Clwb {
         x86::sfence();
         #[cfg(not(target_arch = "x86_64"))]
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
+        track::release();
     }
 }
 
@@ -242,6 +428,7 @@ impl Backend for ClflushSync {
         x86::sfence();
         #[cfg(not(target_arch = "x86_64"))]
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
+        track::release();
     }
 }
 
@@ -292,6 +479,7 @@ impl<B: Backend> Backend for Count<B> {
         pending::note_fence();
         nvtraverse_obs::on_fence();
         B::fence();
+        track::release();
     }
 }
 
@@ -416,6 +604,7 @@ impl Backend for MmapBackend {
         {
             mmap_sync::msync_all();
         }
+        track::release();
     }
 }
 
@@ -449,7 +638,9 @@ impl Backend for Sim {
     #[inline]
     fn fence() {
         pending::note_fence();
-        sim::on_fence();
+        if sim::on_fence() {
+            track::release();
+        }
     }
 
     /// In the simulator, flushes operate on 8-byte cells rather than cache
@@ -508,6 +699,40 @@ mod tests {
         let unaligned = unsafe { data.0.as_ptr().add(32) };
         let (c, ()) = nvtraverse_obs::counted(|| Count::<Noop>::flush_range(unaligned, 128));
         assert_eq!(c.flushes, 3);
+    }
+
+    #[test]
+    fn a_hold_lasts_until_the_holders_next_fence() {
+        type CB = Count<Noop>;
+        let x = 0u64;
+        let a = &x as *const u64 as *const u8;
+        assert!(!CB::maybe_dirty(a));
+        CB::hold(a);
+        assert!(CB::maybe_dirty(a));
+        // Every thread sees the hold; only the holder's fence releases it.
+        let addr = a as usize;
+        std::thread::spawn(move || {
+            assert!(CB::maybe_dirty(addr as *const u8));
+            CB::fence();
+            assert!(CB::maybe_dirty(addr as *const u8));
+        })
+        .join()
+        .unwrap();
+        CB::fence();
+        assert!(!CB::maybe_dirty(a));
+    }
+
+    #[test]
+    fn cas_after_fence_runs_at_the_next_fence() {
+        type CB = Count<Noop>;
+        let c: PCell<u64, CB> = PCell::new(1);
+        // SAFETY: `c` outlives the fence below.
+        unsafe { CB::cas_after_fence(&c, 1, 2) };
+        assert!(cas_after_fence_pending());
+        assert_eq!(c.load(), 1, "not before the fence");
+        CB::fence();
+        assert_eq!(c.load(), 2);
+        assert!(!cas_after_fence_pending());
     }
 
     #[test]

@@ -28,9 +28,12 @@
 //! only drains the issuing thread's flushes, and between `makePersistent`
 //! and the next Protocol 2 fence — the pre-fence of the first critical
 //! write, or the closing fence — the thread only reads and flushes; that
-//! next fence drains the window flushes with everything else. So a lookup,
-//! which writes nothing, has the closing fence as its only fence, and in a
-//! batch it shares the batch's one fence.
+//! next fence drains the window flushes with everything else. Under
+//! `NvTraverse` the window is flushed only where some thread's write is
+//! still waiting for its fence, so a lookup of quiescent state flushes
+//! nothing and its closing fence is elided: it costs nothing, alone or in a
+//! batch. The batch's own fence is elided the same way — it is issued only
+//! if this thread has a flush pending when the outermost scope ends.
 //!
 //! The state is thread-local: a batch covers the operations *this* thread
 //! executes inside the scope, which is the server's unit of group commit
@@ -50,7 +53,9 @@
 //!     }
 //! }
 //! assert_eq!(batch.deferred(), 8);
-//! assert_eq!(batch.close(), 8); // one real fence for all 8 ops
+//! // One real fence for all 8 ops — or none, as here, when nothing was
+//! // flushed.
+//! assert_eq!(batch.close(), 8);
 //! ```
 
 use crate::Backend;
@@ -93,7 +98,8 @@ pub fn batch_active() -> bool {
 /// A thread-local fence-amortization scope: operations executed while it
 /// is alive defer their closing fences; dropping (or
 /// [`close`](FenceBatch::close)-ing) the outermost scope issues a single
-/// `B::fence()` covering all of them.
+/// `B::fence()` covering all of them, if this thread has any flush pending
+/// (with none, the fence would drain nothing).
 ///
 /// Scopes nest; deferred fences discharge when the outermost scope ends.
 /// The guard is `!Send` (thread-local state) and fences on drop even
@@ -126,28 +132,46 @@ impl<B: Backend> FenceBatch<B> {
 
     /// Ends the batch, returning how many closing fences it absorbed. The
     /// outermost scope issues the one shared `B::fence()` (none at all if
-    /// nothing was deferred — a batch of pure reads under a policy whose
-    /// gets need no fence stays fence-free).
+    /// no flush is pending — a batch of lookups of quiescent state stays
+    /// fence-free).
     pub fn close(self) -> u64 {
-        let n = self.deferred();
-        drop(self);
-        n
+        self.close_fenced().0
     }
-}
 
-impl<B: Backend> Drop for FenceBatch<B> {
-    fn drop(&mut self) {
+    /// Like [`close`](FenceBatch::close), also reporting whether the
+    /// durability point issued a real fence.
+    pub fn close_fenced(self) -> (u64, bool) {
+        let n = self.deferred();
+        let fenced = std::mem::ManuallyDrop::new(self).end();
+        (n, fenced)
+    }
+
+    /// Leaves the scope; the outermost one fences if a flush is pending.
+    /// Returns whether it fenced.
+    fn end(&self) -> bool {
         let depth = DEPTH.with(|d| {
             let depth = d.get().saturating_sub(1);
             d.set(depth);
             depth
         });
-        if depth == 0 && PENDING.with(|p| p.replace(0)) > 0 {
-            // The batch durability point: everything flushed by the
-            // deferred operations becomes persistent here, before any
-            // of their results escape.
-            B::fence();
+        if depth > 0 {
+            return false;
         }
+        PENDING.with(|p| p.set(0));
+        if !crate::flushes_pending() {
+            return false;
+        }
+        // The batch durability point: everything flushed by the deferred
+        // operations becomes persistent here, before any of their results
+        // escape.
+        B::fence();
+        true
+    }
+}
+
+impl<B: Backend> Drop for FenceBatch<B> {
+    fn drop(&mut self) {
+        self.end();
     }
 }
 
@@ -162,7 +186,10 @@ mod tests {
         nvtraverse_obs::counted(f).0.fences
     }
 
+    /// An operation that wrote (so has a flush pending) and then reaches
+    /// its closing fence.
     fn closing_fence() {
+        CB::flush(std::ptr::null());
         if !defer_closing_fence() {
             CB::fence();
         }
@@ -199,6 +226,18 @@ mod tests {
             assert_eq!(b.close(), 0);
         });
         assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn a_batch_with_nothing_flushed_fences_never() {
+        let n = fences(|| {
+            let b = FenceBatch::<CB>::begin();
+            for _ in 0..4 {
+                assert!(defer_closing_fence(), "a lookup's closing fence defers");
+            }
+            assert_eq!(b.close_fenced(), (4, false));
+        });
+        assert_eq!(n, 0, "no flush pending: the batch fence drains nothing");
     }
 
     #[test]

@@ -64,7 +64,8 @@ pub mod sim;
 mod word;
 
 pub use backend::{
-    flushes_pending, Backend, ClflushSync, Clwb, Count, MmapBackend, Noop, Sim, CACHE_LINE,
+    cas_after_fence_pending, flushes_pending, Backend, ClflushSync, Clwb, Count, MmapBackend, Noop,
+    Sim, CACHE_LINE,
 };
 pub use cell::PCell;
 pub use sim::{CrashSignal, SimHandle, SimObserver, WriteKind, POISON};

@@ -93,6 +93,10 @@ pub trait SimObserver: Send + Sync {
     fn on_flush(&self, _addr: usize) {}
     /// The calling thread fenced (its buffered flushes are now persistent).
     fn on_fence(&self) {}
+    /// The calling thread skipped a flush of the cell at `addr` because no
+    /// write to its line was waiting for a fence (see
+    /// [`current_elided_flush`]).
+    fn on_elided_flush(&self, _addr: usize) {}
 }
 
 /// Per-cell simulated-NVRAM state. Writes are versioned so that a stale
@@ -460,6 +464,9 @@ impl SimHandle {
                 ctx.pending.clear();
             }
         });
+        // Every line now holds its persisted value: nothing the caller
+        // wrote before the crash is waiting for a fence any more.
+        crate::backend::track::forget();
         self.inner.crash_at.store(0, Ordering::SeqCst);
         self.inner.crashed.store(false, Ordering::SeqCst);
         report
@@ -485,7 +492,13 @@ pub struct SimGuard {
 
 impl Drop for SimGuard {
     fn drop(&mut self) {
-        CTX.with(|slot| slot.borrow_mut().take());
+        let ctx = CTX.with(|slot| slot.borrow_mut().take());
+        // A thread leaving a crashed simulation drops its write holds: the
+        // rollback that must follow leaves every line at its persisted
+        // value, so nothing it wrote still waits for a fence.
+        if ctx.is_some_and(|c| c.registry.crashed.load(Ordering::SeqCst)) {
+            crate::backend::track::forget();
+        }
     }
 }
 
@@ -526,15 +539,16 @@ pub(crate) fn on_flush(addr: usize) {
 }
 
 /// A simulated fence: publish the thread's buffered flushes one at a time.
+/// Returns whether the fence took effect.
 ///
 /// A fence issued by a destructor while a simulated crash unwinds (a
 /// [`FenceBatch`](crate::batch::FenceBatch) open across the crash point)
 /// persists nothing — the machine is already down — and returns instead of
 /// raising a second [`CrashSignal`] mid-unwind, which would abort.
-pub(crate) fn on_fence() {
+pub(crate) fn on_fence() -> bool {
     with_ctx(|ctx| {
         if std::thread::panicking() && ctx.registry.crashed.load(Ordering::SeqCst) {
-            return;
+            return false;
         }
         ctx.registry.tick(None);
         while let Some((addr, bits, ver)) = ctx.pending.pop() {
@@ -546,6 +560,7 @@ pub(crate) fn on_fence() {
         if let Some(o) = ctx.registry.observer() {
             o.on_fence();
         }
+        true
     })
 }
 
@@ -637,6 +652,24 @@ pub fn current_mark_volatile_range(addr: usize, len: usize) {
         if let Some(ctx) = slot.borrow_mut().as_mut() {
             if let Some(o) = ctx.registry.observer() {
                 o.on_mark_volatile_range(addr, len);
+            }
+        }
+    });
+}
+
+/// Reports to any installed [`SimObserver`] that a durability policy
+/// skipped its flush of the cell at `addr`, judging that no write to its
+/// line is waiting for a fence.
+///
+/// Like [`current_mark_volatile_range`], not a simulated memory event: it
+/// neither ticks the step counter nor changes persisted state, so the
+/// report can never shift crash points. A no-op without an active context
+/// or observer.
+pub fn current_elided_flush(addr: usize) {
+    CTX.with(|slot| {
+        if let Some(ctx) = slot.borrow_mut().as_mut() {
+            if let Some(o) = ctx.registry.observer() {
+                o.on_elided_flush(addr);
             }
         }
     });

@@ -16,10 +16,13 @@
 //!   B flushes + **1** fence — fences/op = 1/B, the floor.
 //! * **NVTraverse**: the closing fence is one of the op's constant fence
 //!   count, so a batch saves exactly B−1 fences versus B singles.
-//! * **Lookups**, under either policy, share the batch fence: a get writes
-//!   nothing, so its closing fence is its only one. Under NVTraverse its
-//!   window flushes stay pending until the next update's pre-CAS fence or
-//!   the batch's fence drains them. A batch of gets costs one fence.
+//! * **Lookups**, under either policy, cost nothing of their own: a get
+//!   writes nothing, so its closing fence is its only one and it defers.
+//!   Under NVTraverse a get flushes a window line only while some write to
+//!   it waits for its fence; such a flush stays pending until the next
+//!   update's pre-CAS fence or the batch's fence drains it. The batch's
+//!   fence is issued only if a flush is pending, so a batch of gets of
+//!   quiescent keys costs no fence at all.
 //!
 //! `tests/persist_bounds.rs` pins these counts exactly.
 
@@ -38,7 +41,7 @@ pub struct BatchStats {
     /// policy would have fenced before returning).
     pub deferred_fences: u64,
     /// Real fences issued at the durability point: 1, or 0 for a batch
-    /// that deferred nothing (e.g. all-miss SOFT gets need no fence).
+    /// with no flush pending at its close (e.g. gets of quiescent keys).
     pub closing_fences: u64,
 }
 
@@ -101,13 +104,13 @@ pub fn run_batch(
 ) -> (Vec<Reply>, BatchStats) {
     let scope = FenceBatch::<MmapBackend>::begin();
     let replies: Vec<Reply> = reqs.iter().map(|r| exec_data_op(store, tokens, r)).collect();
-    let deferred = scope.close();
-    // Nothing above this line may write to the connection: `close()` just
+    let (deferred, fenced) = scope.close_fenced();
+    // Nothing above this line may write to the connection: the close just
     // issued the one fence that makes every reply's effect persistent.
     let stats = BatchStats {
         ops: reqs.len() as u64,
         deferred_fences: deferred,
-        closing_fences: u64::from(deferred > 0),
+        closing_fences: u64::from(fenced),
     };
     (replies, stats)
 }
@@ -149,6 +152,14 @@ mod tests {
                 "every update must defer its closing fence ({policy:?}: {stats:?})"
             );
             assert_eq!(stats.closing_fences, 1, "one shared fence per batch");
+
+            // Gets of keys no pending write touches flush nothing, so the
+            // batch's fence drains nothing and is not issued.
+            let gets: Vec<Request> = (0..16u64).map(Request::Get).collect();
+            let (replies, stats) = run_batch(&store, &mut tokens, &gets);
+            assert_eq!(replies[5], Reply::Value(10));
+            assert_eq!(stats.deferred_fences, 16, "{policy:?}");
+            assert_eq!(stats.closing_fences, 0, "{policy:?}: nothing to fence");
             store.close().unwrap();
             std::fs::remove_dir_all(&dir).unwrap();
         }

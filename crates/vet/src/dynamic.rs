@@ -57,6 +57,14 @@ pub enum FindingKind {
     /// A flush or fence touched a word whose registration was already
     /// removed (freed memory) — a dangling `Sim` registration.
     FlushAfterFree,
+    /// A policy skipped a flush as persisting nothing while the word was
+    /// in fact unpersisted (written and not yet flushed, or flushed but
+    /// not yet fenced): the reader may act on a value a crash can lose. The
+    /// bug class of a write that bypasses the policy's write tracking.
+    /// Checked at the report, so in a multi-threaded run a write landing
+    /// between the policy's check and its report would be flagged too; the
+    /// sanitized workloads are single-threaded.
+    ElidedUnpersisted,
     /// Warn-level: the same word was flushed twice at the same write
     /// sequence within one operation; the second flush adds nothing.
     RedundantFlush,
@@ -67,10 +75,11 @@ pub enum FindingKind {
 
 impl FindingKind {
     /// Every kind, errors first.
-    pub const ALL: [FindingKind; 5] = [
+    pub const ALL: [FindingKind; 6] = [
         FindingKind::UnpersistedPublish,
         FindingKind::DirtyAtReturn,
         FindingKind::FlushAfterFree,
+        FindingKind::ElidedUnpersisted,
         FindingKind::RedundantFlush,
         FindingKind::RedundantFence,
     ];
@@ -87,6 +96,7 @@ impl FindingKind {
             FindingKind::UnpersistedPublish => "unpersisted-publish",
             FindingKind::DirtyAtReturn => "dirty-at-return",
             FindingKind::FlushAfterFree => "flush-after-free",
+            FindingKind::ElidedUnpersisted => "elided-unpersisted",
             FindingKind::RedundantFlush => "redundant-flush",
             FindingKind::RedundantFence => "redundant-fence",
         }
@@ -437,6 +447,20 @@ impl SimObserver for Shared {
         }
     }
 
+    fn on_elided_flush(&self, addr: usize) {
+        let mut s = self.state.lock();
+        if s.cells
+            .get(&addr)
+            .is_some_and(|c| !c.volatile && c.unpersisted())
+        {
+            s.record(
+                FindingKind::ElidedUnpersisted,
+                addr,
+                "flush skipped as persisting nothing, but the word is unpersisted".to_string(),
+            );
+        }
+    }
+
     fn on_fence(&self) {
         let mut s = self.state.lock();
         let t = s.thread();
@@ -677,6 +701,30 @@ mod tests {
         // A write to a volatile cell is also exempt from dirty-at-return.
         let r = vet.finish(&sim);
         assert_eq!(r.errors(), 0, "{:?}", r.findings);
+    }
+
+    #[test]
+    fn elided_flush_of_an_unpersisted_word_is_flagged() {
+        use nvtraverse_pmem::sim::current_elided_flush;
+        let (sim, _g) = setup();
+        let vet = Vet::install(&sim);
+        let c = reg_cell(&sim, 0);
+        c.store(1);
+        current_elided_flush(c.addr() as usize); // dirty
+        Sim::flush(c.addr());
+        current_elided_flush(c.addr() as usize); // flushed, not fenced
+        Sim::fence();
+        current_elided_flush(c.addr() as usize); // persisted: fine
+        let v = reg_cell(&sim, 0);
+        nvtraverse_pmem::sim::current_mark_volatile_range(v.addr() as usize, 8);
+        current_elided_flush(v.addr() as usize); // volatile by design: exempt
+        let r = vet.finish(&sim);
+        assert_eq!(
+            r.count(FindingKind::ElidedUnpersisted),
+            2,
+            "{:?}",
+            r.findings
+        );
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   registry that tracks every registered word through a
 //!   `Clean → Dirty → Flushed → Persisted` state machine and classifies
 //!   per-operation findings — an unpersisted node published by a link CAS,
-//!   a dirty word alive at operation return, a flush of freed memory, and
+//!   a dirty word alive at operation return, a flush of freed memory, a
+//!   flush skipped as useless while its word was unpersisted, and
 //!   warn-level redundant flushes/fences. One ordinary run of a workload
 //!   replaces a crash-point enumeration for these bug classes.
 //! * [`lint`] is an **offline source analyzer** (exposed as the `nvt-lint`

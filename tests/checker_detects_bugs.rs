@@ -13,8 +13,11 @@ use nvtraverse::model::{key_verdict, MutOp};
 use nvtraverse::policy::Durability;
 use nvtraverse::DurableSet;
 use nvtraverse_ebr::Collector;
-use nvtraverse_pmem::sim::{install_quiet_panic_hook, run_crashable, SimHandle};
-use nvtraverse_pmem::{Backend, PCell, Sim, Word};
+use nvtraverse_pmem::batch::{defer_closing_fence, FenceBatch};
+use nvtraverse_pmem::sim::{
+    current_elided_flush, install_quiet_panic_hook, run_crashable, SimHandle,
+};
+use nvtraverse_pmem::{flushes_pending, Backend, PCell, Sim, Word};
 use nvtraverse_structures::list::HarrisList;
 use nvtraverse_structures::soft_list::SoftList;
 use std::cell::{Cell, RefCell};
@@ -158,6 +161,91 @@ impl Durability for SoftUnderFlush {
     fn persist_new_node(_: *const u8, _: usize) {} // missing flush_range
     fn before_return() {
         Sim::fence(); // the fence alone persists nothing
+    }
+}
+
+/// `NvTraverse` with its write tracking removed: reads skip the flush of
+/// every line no write holds, exactly like the real policy, but writes
+/// never hold their line. So a read skips the flush of a link another
+/// operation wrote and has not fenced yet — and may return a value a crash
+/// loses.
+#[derive(Debug, Clone, Copy, Default)]
+struct NoHold;
+
+impl NoHold {
+    fn flush_if_dirty(addr: *const u8) {
+        if Sim::maybe_dirty(addr) {
+            Sim::flush(addr);
+        } else {
+            current_elided_flush(addr as usize);
+        }
+    }
+
+    fn fence_if_pending() {
+        if flushes_pending() {
+            Sim::fence();
+        }
+    }
+}
+
+impl Durability for NoHold {
+    type B = Sim;
+    const DURABLE: bool = true;
+    fn t_load<T: Word>(c: &PCell<T, Sim>) -> T {
+        c.load()
+    }
+    fn t_load_link<T>(c: &PCell<MarkedPtr<T>, Sim>) -> MarkedPtr<T> {
+        c.load()
+    }
+    fn ensure_reachable(addr: *const u8) {
+        Self::flush_if_dirty(addr);
+    }
+    fn make_persistent(addrs: &[*const u8]) {
+        for &a in addrs {
+            Self::flush_if_dirty(a);
+        }
+    }
+    fn c_load<T: Word>(c: &PCell<T, Sim>) -> T {
+        let v = c.load();
+        Self::flush_if_dirty(c.addr());
+        v
+    }
+    fn c_load_link<T>(c: &PCell<MarkedPtr<T>, Sim>) -> MarkedPtr<T> {
+        let v = c.load();
+        Self::flush_if_dirty(c.addr());
+        v
+    }
+    fn c_store<T: Word>(c: &PCell<T, Sim>, v: T) {
+        Self::fence_if_pending();
+        c.store(v); // missing hold
+        Sim::flush(c.addr());
+    }
+    fn c_cas<T: Word>(c: &PCell<T, Sim>, cur: T, new: T) -> Result<T, T> {
+        Self::fence_if_pending();
+        let r = c.compare_exchange(cur, new); // missing hold
+        Sim::flush(c.addr());
+        r
+    }
+    fn c_cas_link<T>(
+        c: &PCell<MarkedPtr<T>, Sim>,
+        cur: MarkedPtr<T>,
+        new: MarkedPtr<T>,
+    ) -> Result<(), MarkedPtr<T>> {
+        Self::fence_if_pending();
+        let r = c.compare_exchange(cur, new); // missing hold
+        Sim::flush(c.addr());
+        r.map(drop)
+    }
+    fn persist_new_node(addr: *const u8, len: usize) {
+        Sim::flush_range(addr, len);
+    }
+    fn before_return() {
+        if !defer_closing_fence() {
+            Self::fence_if_pending();
+        }
+    }
+    fn fence_before_write() {
+        Self::fence_if_pending();
     }
 }
 
@@ -421,4 +509,53 @@ fn vet_flags_soft_under_flush_as_dirty_at_return_in_one_run() {
          dirty, but the sanitizer recorded no dirty-at-return: {:#?}",
         r.findings
     );
+}
+
+/// Runs batches of `insert(k)` then `get(k)` — op 2 of each batch reads the
+/// link op 1 wrote, still unfenced — then `remove(k)` then `get(k)`, each
+/// batch one `Vet::op` (so its closing fence lands inside the scope), and
+/// returns the report. No crash is ever injected.
+fn vet_batched_run<D: Durability<B = Sim>>() -> VetReport {
+    let sim = SimHandle::new();
+    let _g = sim.enter();
+    let vet = Vet::install(&sim);
+    {
+        let s = HarrisList::<u64, u64, D>::with_collector(Collector::leaking());
+        for k in 0..16 {
+            vet.op("prefill", || s.insert(k * 2, k));
+        }
+        for k in [5, 17, 40] {
+            vet.op("insert+get", || {
+                let batch = FenceBatch::<Sim>::begin();
+                assert!(s.insert(k, k));
+                assert_eq!(s.get(k), Some(k));
+                batch.close();
+            });
+            vet.op("remove+get", || {
+                let batch = FenceBatch::<Sim>::begin();
+                assert!(s.remove(k));
+                assert_eq!(s.get(k), None);
+                batch.close();
+            });
+        }
+    }
+    vet.finish(&sim)
+}
+
+#[test]
+fn vet_flags_no_hold_as_elided_unpersisted_in_one_batched_run() {
+    let r = vet_batched_run::<NoHold>();
+    assert!(
+        r.has(FindingKind::ElidedUnpersisted),
+        "a get skipped the flush of an unfenced link, but the sanitizer \
+         recorded no elided-unpersisted: {:#?}",
+        r.findings
+    );
+}
+
+#[test]
+fn real_policy_is_clean_in_the_same_batched_run() {
+    use nvtraverse::policy::NvTraverse;
+    let r = vet_batched_run::<NvTraverse<Sim>>();
+    assert!(r.is_clean(), "{:#?}", r.findings);
 }

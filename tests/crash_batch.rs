@@ -18,6 +18,14 @@
 //!
 //! Run with eviction off and with background eviction on, as
 //! `crash_adversaries` does.
+//!
+//! A second, two-thread sweep checks the other side of the batch: a reader
+//! on another thread. `NvTraverse` skips a window flush unless some
+//! thread's write to that line still waits for its fence, and a batched
+//! write waits until its batch closes. A reader that gets a key the writer
+//! just wrote must therefore flush and fence that write itself before it
+//! returns the value — every value a reader returned must survive a crash
+//! that comes before the writer's batch closes.
 
 mod common;
 
@@ -32,6 +40,7 @@ use nvtraverse_structures::hash::HashMapDs;
 use nvtraverse_structures::list::HarrisList;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::mpsc;
 
 const MAX_POINTS: usize = 600;
 
@@ -226,6 +235,181 @@ fn list_batches_survive_every_crash_point() {
 #[test]
 fn hash_batches_survive_every_crash_point() {
     batch_sweep(
+        || HashMapDs::<u64, u64, NvTraverse<Sim>>::with_collector(4, Collector::leaking()),
+        |m| m.check_consistency(false),
+    );
+}
+
+/// The writer's one batch in the reader sweep: inserts and removes on the
+/// keys the reader gets, reinsertion and a second write of one key among
+/// them.
+fn writer_ops() -> Vec<Step> {
+    use Step::{Insert, Remove};
+    vec![
+        Insert(1, 11),
+        Remove(2),
+        Insert(3, 33),
+        Remove(1),
+        Insert(2, 22),
+        Insert(1, 12),
+        Remove(4),
+        Remove(3),
+    ]
+}
+
+/// What one writer/reader race observed.
+struct Race {
+    /// `(i, key, value)`: right after writer op `i`, the reader's completed
+    /// `get(key)` of that op's key returned `value`.
+    reads: Vec<(usize, u64, Option<u64>)>,
+    /// Writer operations started; the last one may have been cut short.
+    started: usize,
+    /// The simulator step just before the writer closed its batch, if it
+    /// got that far.
+    close_step: Option<u64>,
+}
+
+/// Runs [`writer_ops`] on a writer thread inside one [`FenceBatch`] while a
+/// reader thread, in lockstep, gets each op's key right after the op. The
+/// strict alternation keeps the simulator's step sequence deterministic, so
+/// a crash can be aimed at every step. A crash on either thread ends both.
+fn race<S: DurableSet<u64, u64>>(s: &S, sim: &SimHandle) -> Race {
+    let (to_reader, from_writer) = mpsc::channel::<(usize, u64)>();
+    let (to_writer, from_reader) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(move || {
+            let _g = sim.enter();
+            let (mut started, mut close_step) = (0, None);
+            let _ = run_crashable(|| {
+                let batch = FenceBatch::<Sim>::begin();
+                for (i, op) in writer_ops().into_iter().enumerate() {
+                    started = i + 1;
+                    exec(s, op);
+                    if to_reader.send((i, op.key())).is_err() || from_reader.recv().is_err() {
+                        return; // the reader crashed
+                    }
+                }
+                close_step = Some(sim.steps());
+                batch.close();
+            });
+            (started, close_step)
+        });
+        let reader = scope.spawn(move || {
+            let _g = sim.enter();
+            let mut reads = Vec::new();
+            let _ = run_crashable(|| {
+                while let Ok((i, k)) = from_writer.recv() {
+                    let v = s.get(k);
+                    reads.push((i, k, v));
+                    if to_writer.send(()).is_err() {
+                        return; // the writer crashed
+                    }
+                }
+            });
+            reads
+        });
+        let (started, close_step) = writer.join().unwrap();
+        Race {
+            reads: reader.join().unwrap(),
+            started,
+            close_step,
+        }
+    })
+}
+
+/// Crashes the writer/reader race at every step from the end of the
+/// prefill to the writer's batch close, recovers, and checks each value
+/// the reader returned: per key, the recovered entry must be the one after
+/// some prefix of the writer's ops that includes the op the reader saw.
+fn reader_sweep<S, F, C>(factory: F, check: C)
+where
+    S: DurableSet<u64, u64>,
+    F: Fn() -> S,
+    C: Fn(&S) -> Result<usize, String>,
+{
+    install_quiet_panic_hook();
+    let prefilled = |sim: &SimHandle| {
+        let _g = sim.enter();
+        let s = factory();
+        for (k, v) in PREFILL {
+            s.insert(k, v);
+        }
+        s
+    };
+    let (before, close) = {
+        let sim = SimHandle::new();
+        let s = prefilled(&sim);
+        let before = sim.steps();
+        let r = race(&s, &sim);
+        assert_eq!(
+            r.reads.len(),
+            writer_ops().len(),
+            "uncrashed race: every get completes"
+        );
+        (
+            before,
+            r.close_step.expect("uncrashed race closes its batch"),
+        )
+    };
+    for evict_period in [0, 1, 7] {
+        let mut fired = 0;
+        for crash_at in before + 1..=close {
+            let sim = SimHandle::new();
+            sim.set_evict_period(evict_period);
+            let s = prefilled(&sim);
+            sim.arm_crash_at_step(crash_at);
+            let r = race(&s, &sim);
+            let _g = sim.enter();
+            if r.close_step.is_none() {
+                fired += 1;
+            } else {
+                sim.arm_crash_at_step(u64::MAX);
+            }
+            // SAFETY: both threads have joined; the leaking collector keeps
+            // every node live.
+            unsafe { sim.crash_and_rollback() };
+            s.recover();
+            let at = format!("crash@{crash_at}, evict={evict_period}");
+            check(&s).unwrap_or_else(|e| panic!("{at}: invariants: {e}"));
+
+            let ops = writer_ops();
+            // The model after each prefix of the writer's ops: states[j]
+            // has ops[..j] applied.
+            let mut states = vec![PREFILL.into_iter().collect::<BTreeMap<u64, u64>>()];
+            for &op in &ops[..r.started] {
+                let mut m = states.last().unwrap().clone();
+                apply(&mut m, op);
+                states.push(m);
+            }
+            for &(i, k, v) in &r.reads {
+                assert_eq!(
+                    v,
+                    states[i + 1].get(&k).copied(),
+                    "{at}: get({k}) after op {i}"
+                );
+                let got = s.get(k);
+                assert!(
+                    states[i + 1..].iter().any(|m| m.get(&k).copied() == got),
+                    "{at}: the reader returned {v:?} for key {k} after writer op {i}, \
+                     but recovery holds {got:?}"
+                );
+            }
+        }
+        assert!(fired > 0, "evict={evict_period}: no crash point fired");
+    }
+}
+
+#[test]
+fn list_reader_of_an_open_batch_survives_every_crash_point() {
+    reader_sweep(
+        || HarrisList::<u64, u64, NvTraverse<Sim>>::with_collector(Collector::leaking()),
+        |l| l.check_consistency(false),
+    );
+}
+
+#[test]
+fn hash_reader_of_an_open_batch_survives_every_crash_point() {
+    reader_sweep(
         || HashMapDs::<u64, u64, NvTraverse<Sim>>::with_collector(4, Collector::leaking()),
         |m| m.check_consistency(false),
     );

@@ -8,15 +8,20 @@
 //! decided the no-op: after a crash the descriptor would say "the key was
 //! there" while the key is gone.
 //!
-//! The crash sweeps cannot see this: the window those paths read was
-//! already made durable by the operation that wrote it. So the order is
-//! pinned directly, from the simulator's event stream: at the first write
-//! into the descriptor slot, this thread has no flush outstanding.
+//! `makePersistent` flushes a window line only while a write to it waits
+//! for its fence, so each no-op here first runs behind a write of its own
+//! window inside an open [`FenceBatch`]: that write is flushed but its
+//! fence is deferred, so the window is dirty on purpose. The crash sweeps
+//! cannot see the ordering (by the time they crash, the window is durable
+//! one way or another), so it is pinned directly, from the simulator's
+//! event stream: the no-op flushes its window, then fences, and only then
+//! writes the descriptor slot.
 
 use nvtraverse::detect::OpTable;
 use nvtraverse::policy::NvTraverse;
 use nvtraverse::DurableSet;
 use nvtraverse_ebr::Collector;
+use nvtraverse_pmem::batch::FenceBatch;
 use nvtraverse_pmem::{Sim, SimHandle, SimObserver, WriteKind};
 use nvtraverse_structures::hash::HashMapDs;
 use nvtraverse_structures::list::HarrisList;
@@ -56,8 +61,8 @@ impl SimObserver for Log {
     }
 }
 
-/// Asserts that at the first write into `slot` the thread had flushed
-/// something (the window) and fenced since its last flush.
+/// Asserts that before its first write into `slot` the operation flushed
+/// something (the window) and fenced after its last flush.
 fn assert_fenced_before_descriptor(what: &str, events: &[Ev], slot: (usize, usize)) {
     let in_slot = |a: usize| (slot.0..slot.0 + slot.1).contains(&a);
     let first = events
@@ -76,8 +81,9 @@ fn assert_fenced_before_descriptor(what: &str, events: &[Ev], slot: (usize, usiz
     );
 }
 
-/// Runs a duplicate insert and a remove miss on a prefilled `s` and checks
-/// both no-op paths fence before they arm.
+/// Runs a duplicate insert and a remove miss on a prefilled `s`, each right
+/// after an unfenced write of its window, and checks both no-op paths
+/// flush the window and fence before they arm.
 fn noop_paths_fence_before_arming<S: DurableSet<u64, u64>>(make: impl FnOnce() -> S) {
     let sim = SimHandle::new();
     let _g = sim.enter();
@@ -94,13 +100,23 @@ fn noop_paths_fence_before_arming<S: DurableSet<u64, u64>>(make: impl FnOnce() -
     };
     let mut tok = table.token(0);
 
+    // Re-insert key 8: the link to it is written and flushed, not fenced.
+    let batch = FenceBatch::<Sim>::begin();
+    assert!(s.remove(8) && s.insert(8, 8));
+    log.take();
     let (_, inserted) = s.insert_detectable(&mut tok, 8, 99).unwrap();
     assert!(!inserted, "key 8 is present: a duplicate");
     assert_fenced_before_descriptor("duplicate insert", &log.take(), slot);
+    batch.close();
 
+    // Insert and remove key 9: the unlink is written and flushed, not fenced.
+    let batch = FenceBatch::<Sim>::begin();
+    assert!(s.insert(9, 9) && s.remove(9));
+    log.take();
     let (_, removed) = s.remove_detectable(&mut tok, 9).unwrap();
     assert!(!removed, "key 9 is absent: a miss");
     assert_fenced_before_descriptor("remove miss", &log.take(), slot);
+    batch.close();
 
     sim.set_observer(None);
 }
