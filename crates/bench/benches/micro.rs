@@ -9,35 +9,28 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvtraverse::policy::{Izraelevitz, LinkPersist, NvTraverse, Volatile};
 use nvtraverse::DurableSet;
-use nvtraverse_pmem::{Backend, Clwb, ClflushSync, PCell};
+use nvtraverse_pmem::{Backend, MmapBackend, PCell};
 use nvtraverse_structures::list::HarrisList;
 use std::hint::black_box;
 
 fn bench_primitives(c: &mut Criterion) {
     let mut g = c.benchmark_group("primitives");
-    let cell: PCell<u64, Clwb> = PCell::new(1);
+    let cell: PCell<u64, MmapBackend> = PCell::new(1);
 
     g.bench_function("clwb_flush_only", |b| {
         b.iter(|| {
             cell.store(black_box(2));
-            Clwb::flush(cell.addr());
+            MmapBackend::flush(cell.addr());
         })
     });
     g.bench_function("clwb_flush_fence", |b| {
         b.iter(|| {
             cell.store(black_box(2));
-            Clwb::flush(cell.addr());
-            Clwb::fence();
+            MmapBackend::flush(cell.addr());
+            MmapBackend::fence();
         })
     });
-    g.bench_function("clflush_flush_fence", |b| {
-        b.iter(|| {
-            cell.store(black_box(2));
-            ClflushSync::flush(cell.addr());
-            ClflushSync::fence();
-        })
-    });
-    g.bench_function("fence_only", |b| b.iter(Clwb::fence));
+    g.bench_function("fence_only", |b| b.iter(MmapBackend::fence));
     g.finish();
 }
 
@@ -68,9 +61,9 @@ fn bench_list_single_op(c: &mut Criterion) {
     }
 
     per_policy!("volatile", Volatile);
-    per_policy!("nvtraverse", NvTraverse<Clwb>);
-    per_policy!("izraelevitz", Izraelevitz<Clwb>);
-    per_policy!("link_persist", LinkPersist<Clwb>);
+    per_policy!("nvtraverse", NvTraverse<MmapBackend>);
+    per_policy!("izraelevitz", Izraelevitz<MmapBackend>);
+    per_policy!("link_persist", LinkPersist<MmapBackend>);
     g.finish();
 }
 

@@ -12,7 +12,7 @@ use nvtraverse::policy::{Durability, Izraelevitz, LinkPersist, NvTraverse, Soft,
 use nvtraverse::DurableSet;
 use nvtraverse_ebr::Collector;
 use nvtraverse_onefile::{TmBst, TmList};
-use nvtraverse_pmem::{Clwb, Count, Noop, Sim};
+use nvtraverse_pmem::{MmapBackend, Sim};
 use nvtraverse_structures::ellen_bst::EllenBst;
 use nvtraverse_structures::hash::HashMapDs;
 use nvtraverse_structures::list::{HarrisList, HarrisListOrigParent};
@@ -98,11 +98,11 @@ fn soft_hash_point<D: Durability>(cfg: &Cfg) -> f64 {
 }
 
 fn tmlist_point(cfg: &Cfg) -> f64 {
-    measure(TmList::<u64, u64, Clwb>::new, cfg)
+    measure(TmList::<u64, u64, MmapBackend>::new, cfg)
 }
 
 fn tmbst_point(cfg: &Cfg) -> f64 {
-    measure(TmBst::<u64, u64, Clwb>::new, cfg)
+    measure(TmBst::<u64, u64, MmapBackend>::new, cfg)
 }
 
 // ---- table rendering ------------------------------------------------------
@@ -158,8 +158,8 @@ fn base_cfg(mode: Mode, threads: usize, range: u64, update_pct: u32) -> Cfg {
 pub fn fig5a(mode: Mode) {
     let series: Vec<Series> = vec![
         ("orig", list_point::<Volatile>),
-        ("nvt", list_point::<NvTraverse<Clwb>>),
-        ("izr", list_point::<Izraelevitz<Clwb>>),
+        ("nvt", list_point::<NvTraverse<MmapBackend>>),
+        ("izr", list_point::<Izraelevitz<MmapBackend>>),
         ("onefile", tmlist_point),
     ];
     run_sweep(
@@ -177,8 +177,8 @@ pub fn fig5a(mode: Mode) {
 pub fn fig5b(mode: Mode) {
     let series: Vec<Series> = vec![
         ("orig", list_point::<Volatile>),
-        ("nvt", list_point::<NvTraverse<Clwb>>),
-        ("izr", list_point::<Izraelevitz<Clwb>>),
+        ("nvt", list_point::<NvTraverse<MmapBackend>>),
+        ("izr", list_point::<Izraelevitz<MmapBackend>>),
         ("onefile", tmlist_point),
     ];
     let sizes = match mode {
@@ -200,8 +200,8 @@ pub fn fig5b(mode: Mode) {
 pub fn fig5c(mode: Mode) {
     let series: Vec<Series> = vec![
         ("orig", list_point::<Volatile>),
-        ("nvt", list_point::<NvTraverse<Clwb>>),
-        ("izr", list_point::<Izraelevitz<Clwb>>),
+        ("nvt", list_point::<NvTraverse<MmapBackend>>),
+        ("izr", list_point::<Izraelevitz<MmapBackend>>),
         ("onefile", tmlist_point),
     ];
     run_sweep(
@@ -219,8 +219,8 @@ pub fn fig5c(mode: Mode) {
 pub fn fig5d(mode: Mode) {
     let series: Vec<Series> = vec![
         ("orig", hash_point::<Volatile>),
-        ("nvt", hash_point::<NvTraverse<Clwb>>),
-        ("izr", hash_point::<Izraelevitz<Clwb>>),
+        ("nvt", hash_point::<NvTraverse<MmapBackend>>),
+        ("izr", hash_point::<Izraelevitz<MmapBackend>>),
     ];
     let r = mode.big_range();
     run_sweep(
@@ -238,11 +238,11 @@ pub fn fig5d(mode: Mode) {
 pub fn fig5e(mode: Mode) {
     let series: Vec<Series> = vec![
         ("orig-el", ellen_point::<Volatile>),
-        ("nvt-el", ellen_point::<NvTraverse<Clwb>>),
-        ("izr-el", ellen_point::<Izraelevitz<Clwb>>),
+        ("nvt-el", ellen_point::<NvTraverse<MmapBackend>>),
+        ("izr-el", ellen_point::<Izraelevitz<MmapBackend>>),
         ("orig-nm", nm_point::<Volatile>),
-        ("nvt-nm", nm_point::<NvTraverse<Clwb>>),
-        ("izr-nm", nm_point::<Izraelevitz<Clwb>>),
+        ("nvt-nm", nm_point::<NvTraverse<MmapBackend>>),
+        ("izr-nm", nm_point::<Izraelevitz<MmapBackend>>),
         ("onefile", tmbst_point),
     ];
     let r = mode.big_range();
@@ -261,8 +261,8 @@ pub fn fig5e(mode: Mode) {
 pub fn fig5f(mode: Mode) {
     let series: Vec<Series> = vec![
         ("orig", skip_point::<Volatile>),
-        ("nvt", skip_point::<NvTraverse<Clwb>>),
-        ("izr", skip_point::<Izraelevitz<Clwb>>),
+        ("nvt", skip_point::<NvTraverse<MmapBackend>>),
+        ("izr", skip_point::<Izraelevitz<MmapBackend>>),
     ];
     let r = mode.big_range();
     run_sweep(
@@ -280,9 +280,9 @@ pub fn fig5f(mode: Mode) {
 /// the link-and-persist competitor appears from here on).
 pub fn fig6g(mode: Mode) {
     let series: Vec<Series> = vec![
-        ("nvt", list_point::<NvTraverse<Clwb>>),
-        ("izr", list_point::<Izraelevitz<Clwb>>),
-        ("logfree", list_point::<LinkPersist<Clwb>>),
+        ("nvt", list_point::<NvTraverse<MmapBackend>>),
+        ("izr", list_point::<Izraelevitz<MmapBackend>>),
+        ("logfree", list_point::<LinkPersist<MmapBackend>>),
         ("onefile", tmlist_point),
     ];
     let r = match mode {
@@ -303,9 +303,9 @@ pub fn fig6g(mode: Mode) {
 /// Figure 6(h): list, update sweep, 8000 nodes, max threads.
 pub fn fig6h(mode: Mode) {
     let series: Vec<Series> = vec![
-        ("nvt", list_point::<NvTraverse<Clwb>>),
-        ("izr", list_point::<Izraelevitz<Clwb>>),
-        ("logfree", list_point::<LinkPersist<Clwb>>),
+        ("nvt", list_point::<NvTraverse<MmapBackend>>),
+        ("izr", list_point::<Izraelevitz<MmapBackend>>),
+        ("logfree", list_point::<LinkPersist<MmapBackend>>),
         ("onefile", tmlist_point),
     ];
     let r = match mode {
@@ -326,8 +326,8 @@ pub fn fig6h(mode: Mode) {
 /// Figure 6(i): list, size sweep, max threads, 80% lookups.
 pub fn fig6i(mode: Mode) {
     let series: Vec<Series> = vec![
-        ("nvt", list_point::<NvTraverse<Clwb>>),
-        ("logfree", list_point::<LinkPersist<Clwb>>),
+        ("nvt", list_point::<NvTraverse<MmapBackend>>),
+        ("logfree", list_point::<LinkPersist<MmapBackend>>),
     ];
     let sizes = match mode {
         Mode::Quick => vec![2048u64, 8192],
@@ -347,9 +347,9 @@ pub fn fig6i(mode: Mode) {
 /// Figure 6(j): hash table, thread sweep, 80% lookups, 8M nodes (scaled).
 pub fn fig6j(mode: Mode) {
     let series: Vec<Series> = vec![
-        ("nvt", hash_point::<NvTraverse<Clwb>>),
-        ("izr", hash_point::<Izraelevitz<Clwb>>),
-        ("logfree", hash_point::<LinkPersist<Clwb>>),
+        ("nvt", hash_point::<NvTraverse<MmapBackend>>),
+        ("izr", hash_point::<Izraelevitz<MmapBackend>>),
+        ("logfree", hash_point::<LinkPersist<MmapBackend>>),
     ];
     let r = mode.big_range();
     run_sweep(
@@ -366,9 +366,9 @@ pub fn fig6j(mode: Mode) {
 /// Figure 6(k): hash table, update sweep, 8M nodes (scaled).
 pub fn fig6k(mode: Mode) {
     let series: Vec<Series> = vec![
-        ("nvt", hash_point::<NvTraverse<Clwb>>),
-        ("izr", hash_point::<Izraelevitz<Clwb>>),
-        ("logfree", hash_point::<LinkPersist<Clwb>>),
+        ("nvt", hash_point::<NvTraverse<MmapBackend>>),
+        ("izr", hash_point::<Izraelevitz<MmapBackend>>),
+        ("logfree", hash_point::<LinkPersist<MmapBackend>>),
     ];
     let r = mode.big_range();
     run_sweep(
@@ -385,8 +385,8 @@ pub fn fig6k(mode: Mode) {
 /// Figure 6(l): hash table, size sweep, 20% updates.
 pub fn fig6l(mode: Mode) {
     let series: Vec<Series> = vec![
-        ("nvt", hash_point::<NvTraverse<Clwb>>),
-        ("logfree", hash_point::<LinkPersist<Clwb>>),
+        ("nvt", hash_point::<NvTraverse<MmapBackend>>),
+        ("logfree", hash_point::<LinkPersist<MmapBackend>>),
     ];
     let base = mode.big_range();
     let sizes = vec![base / 4, base / 2, base, base * 2];
@@ -404,12 +404,12 @@ pub fn fig6l(mode: Mode) {
 /// Figure 6(m): BSTs, update sweep, 8M nodes (scaled).
 pub fn fig6m(mode: Mode) {
     let series: Vec<Series> = vec![
-        ("nvt-el", ellen_point::<NvTraverse<Clwb>>),
-        ("izr-el", ellen_point::<Izraelevitz<Clwb>>),
-        ("lf-el", ellen_point::<LinkPersist<Clwb>>),
-        ("nvt-nm", nm_point::<NvTraverse<Clwb>>),
-        ("izr-nm", nm_point::<Izraelevitz<Clwb>>),
-        ("lf-nm", nm_point::<LinkPersist<Clwb>>),
+        ("nvt-el", ellen_point::<NvTraverse<MmapBackend>>),
+        ("izr-el", ellen_point::<Izraelevitz<MmapBackend>>),
+        ("lf-el", ellen_point::<LinkPersist<MmapBackend>>),
+        ("nvt-nm", nm_point::<NvTraverse<MmapBackend>>),
+        ("izr-nm", nm_point::<Izraelevitz<MmapBackend>>),
+        ("lf-nm", nm_point::<LinkPersist<MmapBackend>>),
         ("onefile", tmbst_point),
     ];
     let r = mode.big_range();
@@ -427,9 +427,9 @@ pub fn fig6m(mode: Mode) {
 /// Figure 6(n): skiplist, thread sweep, 20% updates, 8M nodes (scaled).
 pub fn fig6n(mode: Mode) {
     let series: Vec<Series> = vec![
-        ("nvt", skip_point::<NvTraverse<Clwb>>),
-        ("izr", skip_point::<Izraelevitz<Clwb>>),
-        ("logfree", skip_point::<LinkPersist<Clwb>>),
+        ("nvt", skip_point::<NvTraverse<MmapBackend>>),
+        ("izr", skip_point::<Izraelevitz<MmapBackend>>),
+        ("logfree", skip_point::<LinkPersist<MmapBackend>>),
     ];
     let r = mode.big_range();
     run_sweep(
@@ -446,8 +446,8 @@ pub fn fig6n(mode: Mode) {
 /// Figure 6(o): skiplist, update sweep, 8M nodes (scaled).
 pub fn fig6o(mode: Mode) {
     let series: Vec<Series> = vec![
-        ("nvt", skip_point::<NvTraverse<Clwb>>),
-        ("logfree", skip_point::<LinkPersist<Clwb>>),
+        ("nvt", skip_point::<NvTraverse<MmapBackend>>),
+        ("logfree", skip_point::<LinkPersist<MmapBackend>>),
     ];
     let r = mode.big_range();
     run_sweep(
@@ -464,7 +464,7 @@ pub fn fig6o(mode: Mode) {
 // ---- ablations -------------------------------------------------------------
 
 /// Runs 2000 mixed operations (20% updates, range 2048, prefill 1024) on a
-/// freshly built set over the counting backend and returns the measured
+/// freshly built set over `MmapBackend` and returns the measured
 /// `(flushes/op, fences/op)` — the instrumentation shared by `abl1` and
 /// `soft_vs_nvt`.
 fn count_ops<S: DurableSet<u64, u64>>(make: impl FnOnce() -> S) -> (f64, f64) {
@@ -502,29 +502,27 @@ fn count_ops<S: DurableSet<u64, u64>>(make: impl FnOnce() -> S) -> (f64, f64) {
 }
 
 /// Counts flush/fence instructions per operation for each policy on each
-/// structure (single-threaded, counting backend) — the quantity the whole
+/// structure (single-threaded, counted through `obs::counted`) — the quantity the whole
 /// design minimizes, explaining every gap in Figures 5 and 6.
 pub fn ablation_flushes(_mode: Mode) {
-    type CB = Count<Noop>;
-
     println!("\n== abl1: persistence instructions per operation (range 2048, 20% updates) ==");
     println!(
         "{:>14}{:>12}{:>14}{:>14}",
         "structure", "policy", "flushes/op", "fences/op"
     );
     let rows: Vec<(&str, &str, (f64, f64))> = vec![
-        ("list", "nvt", count_ops(HarrisList::<u64, u64, NvTraverse<CB>>::new)),
-        ("list", "izr", count_ops(HarrisList::<u64, u64, Izraelevitz<CB>>::new)),
-        ("list", "logfree", count_ops(HarrisList::<u64, u64, LinkPersist<CB>>::new)),
-        ("hash", "nvt", count_ops(|| HashMapDs::<u64, u64, NvTraverse<CB>>::new(1024))),
-        ("hash", "izr", count_ops(|| HashMapDs::<u64, u64, Izraelevitz<CB>>::new(1024))),
-        ("hash", "logfree", count_ops(|| HashMapDs::<u64, u64, LinkPersist<CB>>::new(1024))),
-        ("ellen-bst", "nvt", count_ops(EllenBst::<u64, u64, NvTraverse<CB>>::new)),
-        ("ellen-bst", "izr", count_ops(EllenBst::<u64, u64, Izraelevitz<CB>>::new)),
-        ("nm-bst", "nvt", count_ops(NmBst::<u64, u64, NvTraverse<CB>>::new)),
-        ("nm-bst", "izr", count_ops(NmBst::<u64, u64, Izraelevitz<CB>>::new)),
-        ("skiplist", "nvt", count_ops(SkipList::<u64, u64, NvTraverse<CB>>::new)),
-        ("skiplist", "izr", count_ops(SkipList::<u64, u64, Izraelevitz<CB>>::new)),
+        ("list", "nvt", count_ops(HarrisList::<u64, u64, NvTraverse<MmapBackend>>::new)),
+        ("list", "izr", count_ops(HarrisList::<u64, u64, Izraelevitz<MmapBackend>>::new)),
+        ("list", "logfree", count_ops(HarrisList::<u64, u64, LinkPersist<MmapBackend>>::new)),
+        ("hash", "nvt", count_ops(|| HashMapDs::<u64, u64, NvTraverse<MmapBackend>>::new(1024))),
+        ("hash", "izr", count_ops(|| HashMapDs::<u64, u64, Izraelevitz<MmapBackend>>::new(1024))),
+        ("hash", "logfree", count_ops(|| HashMapDs::<u64, u64, LinkPersist<MmapBackend>>::new(1024))),
+        ("ellen-bst", "nvt", count_ops(EllenBst::<u64, u64, NvTraverse<MmapBackend>>::new)),
+        ("ellen-bst", "izr", count_ops(EllenBst::<u64, u64, Izraelevitz<MmapBackend>>::new)),
+        ("nm-bst", "nvt", count_ops(NmBst::<u64, u64, NvTraverse<MmapBackend>>::new)),
+        ("nm-bst", "izr", count_ops(NmBst::<u64, u64, Izraelevitz<MmapBackend>>::new)),
+        ("skiplist", "nvt", count_ops(SkipList::<u64, u64, NvTraverse<MmapBackend>>::new)),
+        ("skiplist", "izr", count_ops(SkipList::<u64, u64, Izraelevitz<MmapBackend>>::new)),
     ];
     for (ds, policy, (fl, fe)) in rows {
         println!("{ds:>14}{policy:>12}{fl:>14.2}{fe:>14.2}");
@@ -538,8 +536,8 @@ pub fn ablation_flushes(_mode: Mode) {
 /// optimization.
 pub fn ablation_parent(mode: Mode) {
     let series: Vec<Series> = vec![
-        ("cur-parent", list_point::<NvTraverse<Clwb>>),
-        ("orig-parent", list_orig_parent_point::<NvTraverse<Clwb>>),
+        ("cur-parent", list_point::<NvTraverse<MmapBackend>>),
+        ("orig-parent", list_orig_parent_point::<NvTraverse<MmapBackend>>),
     ];
     run_sweep(
         "abl2: ensureReachable strategy (Lemma 4.1 optimization vs Supplement 2 field)",
@@ -563,12 +561,10 @@ pub fn ablation_parent(mode: Mode) {
 /// the new node and the links it writes, plus any window line a write
 /// still holds; `tests/persist_bounds.rs` pins the exact columns).
 pub fn soft_vs_nvt(mode: Mode) {
-    type CB = Count<Noop>;
-
     let list_series: Vec<Series> = vec![
         ("orig", list_point::<Volatile>),
-        ("nvt", list_point::<NvTraverse<Clwb>>),
-        ("soft", soft_list_point::<Soft<Clwb>>),
+        ("nvt", list_point::<NvTraverse<MmapBackend>>),
+        ("soft", soft_list_point::<Soft<MmapBackend>>),
     ];
     run_sweep(
         "soft_vs_nvt: Linked-List, NVTraverse vs SOFT, varying update %, range 1024",
@@ -582,8 +578,8 @@ pub fn soft_vs_nvt(mode: Mode) {
 
     let hash_series: Vec<Series> = vec![
         ("orig", hash_point::<Volatile>),
-        ("nvt", hash_point::<NvTraverse<Clwb>>),
-        ("soft", soft_hash_point::<Soft<Clwb>>),
+        ("nvt", hash_point::<NvTraverse<MmapBackend>>),
+        ("soft", soft_hash_point::<Soft<MmapBackend>>),
     ];
     let r = mode.big_range();
     run_sweep(
@@ -602,10 +598,10 @@ pub fn soft_vs_nvt(mode: Mode) {
         "structure", "policy", "flushes/op", "fences/op"
     );
     let rows: Vec<(&str, &str, (f64, f64))> = vec![
-        ("list", "nvt", count_ops(HarrisList::<u64, u64, NvTraverse<CB>>::new)),
-        ("list", "soft", count_ops(SoftList::<u64, u64, Soft<CB>>::new)),
-        ("hash", "nvt", count_ops(|| HashMapDs::<u64, u64, NvTraverse<CB>>::new(1024))),
-        ("hash", "soft", count_ops(|| SoftHash::<u64, u64, Soft<CB>>::new(1024))),
+        ("list", "nvt", count_ops(HarrisList::<u64, u64, NvTraverse<MmapBackend>>::new)),
+        ("list", "soft", count_ops(SoftList::<u64, u64, Soft<MmapBackend>>::new)),
+        ("hash", "nvt", count_ops(|| HashMapDs::<u64, u64, NvTraverse<MmapBackend>>::new(1024))),
+        ("hash", "soft", count_ops(|| SoftHash::<u64, u64, Soft<MmapBackend>>::new(1024))),
     ];
     for (ds, policy, (fl, fe)) in rows {
         println!("{ds:>14}{policy:>12}{fl:>14.2}{fe:>14.2}");

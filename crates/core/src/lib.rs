@@ -44,10 +44,10 @@
 //! | [`LinkPersist<B>`] | "Log Free" | David et al.'s link-and-persist (dirty-bit tagged links) |
 //! | [`Soft<B>`] | SOFT (related work) | Zuriel et al.'s minimal flushing: volatile links, one validity flush per update |
 //!
-//! where `B` is a flush/fence [`Backend`](nvtraverse_pmem::Backend) — real
-//! `clwb`/`sfence`, a counting shim, the crash simulator, or
-//! [`MmapBackend`](nvtraverse_pmem::MmapBackend) over a persistent pool
-//! file.
+//! where `B` is a flush/fence [`Backend`](nvtraverse_pmem::Backend):
+//! [`MmapBackend`](nvtraverse_pmem::MmapBackend) for the real instructions
+//! (counted into `nvtraverse-obs`, on volatile memory or a persistent pool
+//! file), the crash simulator, or the no-op backend.
 //!
 //! ## Living in pool files — plural
 //!
@@ -70,13 +70,13 @@
 //! ```
 //! use nvtraverse::policy::{Durability, NvTraverse, Volatile};
 //! use nvtraverse_obs as obs;
-//! use nvtraverse_pmem::{Count, Noop, PCell};
+//! use nvtraverse_pmem::{MmapBackend, Noop, PCell};
 //!
-//! type D = NvTraverse<Count<Noop>>;
+//! type D = NvTraverse<MmapBackend>;
 //!
 //! // A shared cell read in a critical section: NVTraverse flushes it while
 //! // a write to it is waiting for its fence...
-//! let cell: PCell<u64, Count<Noop>> = PCell::new(5);
+//! let cell: PCell<u64, MmapBackend> = PCell::new(5);
 //! D::c_store(&cell, 6);
 //! let (c, _) = obs::counted(|| D::c_load(&cell));
 //! assert!(c.flushes == 1 || !obs::enabled());

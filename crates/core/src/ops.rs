@@ -183,7 +183,7 @@ mod tests {
     use super::*;
     use crate::policy::{NvTraverse, Volatile};
     use nvtraverse_ebr::Collector;
-    use nvtraverse_pmem::{Backend, Count, Noop, PCell};
+    use nvtraverse_pmem::{Backend, MmapBackend, PCell};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A fake one-cell "structure" that restarts a configurable number of
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn driver_issues_protocol_one_per_attempt() {
-        let b = Bouncer::<NvTraverse<Count<Noop>>> {
+        let b = Bouncer::<NvTraverse<MmapBackend>> {
             cell: PCell::new(0),
             restarts_left: AtomicUsize::new(1),
             traversals: AtomicUsize::new(0),
@@ -257,7 +257,7 @@ mod tests {
         let g = c.pin();
         // A write to the cell is waiting for its fence, so Protocol 1 must
         // flush it.
-        Count::<Noop>::hold(b.cell.addr());
+        MmapBackend::hold(b.cell.addr());
         let (d, _) = nvtraverse_obs::counted(|| run_operation(&b, &g, 1));
         // Two attempts: the parent is also the (sole) persist-set field, so
         // `ensure_reachable` is skipped and each attempt is one flush.
@@ -277,11 +277,11 @@ mod tests {
         /// Like `Bouncer` but with a parent link distinct from the window
         /// field, so Protocol 1 must flush both.
         struct TwoCell {
-            parent: PCell<u64, Count<Noop>>,
-            field: PCell<u64, Count<Noop>>,
+            parent: PCell<u64, MmapBackend>,
+            field: PCell<u64, MmapBackend>,
         }
         impl TraversalOps for TwoCell {
-            type D = NvTraverse<Count<Noop>>;
+            type D = NvTraverse<MmapBackend>;
             type Input = ();
             type Output = ();
             type Entry = ();
@@ -305,8 +305,8 @@ mod tests {
         let c = Collector::new();
         let g = c.pin();
         // Writes to both cells are waiting for their fence.
-        Count::<Noop>::hold(s.parent.addr());
-        Count::<Noop>::hold(s.field.addr());
+        MmapBackend::hold(s.parent.addr());
+        MmapBackend::hold(s.field.addr());
         let (d, ()) = nvtraverse_obs::counted(|| run_operation(&s, &g, ()));
         // ensure_reachable(parent) + make_persistent([field]), drained by
         // the closing fence; the duplicated field is flushed once.

@@ -92,8 +92,8 @@ fn flush_if_dirty<B: Backend>(addr: *const u8) {
 }
 
 // Every flush-bearing policy method opens an `obs::phase` scope so that
-// flushes and fences recorded by an attributing backend (`MmapBackend`,
-// `Count`) carry the pipeline stage that issued them — the paper's
+// flushes and fences recorded by the attributing backend (`MmapBackend`)
+// carry the pipeline stage that issued them — the paper's
 // traversal/critical split made observable. Methods that cannot flush
 // (traversal reads under NvTraverse, the Volatile policy entirely) open no
 // scope and stay zero-cost.
@@ -696,9 +696,9 @@ impl<B: Backend> Durability for Soft<B> {
 mod tests {
     use super::*;
     use nvtraverse_obs::counted;
-    use nvtraverse_pmem::Count;
+    use nvtraverse_pmem::MmapBackend;
 
-    type CB = Count<Noop>;
+    type CB = MmapBackend;
 
     #[test]
     fn volatile_never_flushes_or_fences() {

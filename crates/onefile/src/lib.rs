@@ -243,9 +243,9 @@ struct TmNode<K: Word, V: Word, B: Backend> {
 ///
 /// ```
 /// use nvtraverse_onefile::TmList;
-/// use nvtraverse_pmem::Clwb;
+/// use nvtraverse_pmem::MmapBackend;
 ///
-/// let l: TmList<u64, u64, Clwb> = TmList::new();
+/// let l: TmList<u64, u64, MmapBackend> = TmList::new();
 /// assert!(l.insert(4, 40));
 /// assert_eq!(l.get(4), Some(40));
 /// assert!(l.remove(4));
@@ -672,7 +672,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvtraverse_pmem::{Clwb, Noop};
+    use nvtraverse_pmem::{MmapBackend, Noop};
 
     #[test]
     fn ptm_read_your_writes() {
@@ -734,7 +734,7 @@ mod tests {
 
     #[test]
     fn list_semantics() {
-        let l: TmList<u64, u64, Clwb> = TmList::new();
+        let l: TmList<u64, u64, MmapBackend> = TmList::new();
         assert!(l.insert(2, 20));
         assert!(l.insert(1, 10));
         assert!(!l.insert(2, 99));
@@ -770,7 +770,7 @@ mod tests {
 
     #[test]
     fn bst_semantics() {
-        let t: TmBst<u64, u64, Clwb> = TmBst::new();
+        let t: TmBst<u64, u64, MmapBackend> = TmBst::new();
         for k in [50u64, 30, 70, 20, 40, 60, 80] {
             assert!(t.insert(k, k));
         }
@@ -826,7 +826,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_and_writers() {
-        let l: std::sync::Arc<TmList<u64, u64, Clwb>> = std::sync::Arc::new(TmList::new());
+        let l: std::sync::Arc<TmList<u64, u64, MmapBackend>> = std::sync::Arc::new(TmList::new());
         for k in 0..100u64 {
             l.insert(k * 2, k);
         }
@@ -855,7 +855,7 @@ mod tests {
 
     #[test]
     fn bst_concurrent_smoke() {
-        let t: std::sync::Arc<TmBst<u64, u64, Clwb>> = std::sync::Arc::new(TmBst::new());
+        let t: std::sync::Arc<TmBst<u64, u64, MmapBackend>> = std::sync::Arc::new(TmBst::new());
         std::thread::scope(|s| {
             for tid in 0..4u64 {
                 let t = std::sync::Arc::clone(&t);

@@ -172,8 +172,8 @@ pub fn cas_after_fence_pending() -> bool {
     track::deferred_pending()
 }
 
-/// Whether the calling thread has issued a flush (through any non-[`Noop`]
-/// backend) since its last fence.
+/// Whether the calling thread has issued a flush (through [`MmapBackend`]
+/// or [`Sim`]) since its last fence.
 ///
 /// A fence's only effect in the persistency model is to drain the calling
 /// thread's previously initiated write-backs; with none pending it is a
@@ -193,9 +193,9 @@ pub fn flushes_pending() -> bool {
 /// them.
 ///
 /// The paper evaluates on two machines: a Cascade Lake Xeon using
-/// `clwb` + `sfence` ([`Clwb`]) and an older AMD machine where `clwb` is
-/// unavailable and a synchronized `clflush` is used instead
-/// ([`ClflushSync`]).
+/// `clwb` + `sfence` and an older AMD machine where `clwb` is unavailable
+/// and `clflush` is used instead. [`MmapBackend`] picks the right flush
+/// instruction for the CPU it runs on, so it covers both.
 pub trait Backend: Send + Sync + 'static {
     /// `true` when this backend routes through the crash simulator.
     ///
@@ -355,13 +355,6 @@ mod x86 {
         }
     }
 
-    /// Issues `clflush`, which is ordered (synchronized) on its own.
-    #[inline]
-    pub fn flush_sync(addr: *const u8) {
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe { std::arch::x86_64::_mm_clflush(addr) }
-    }
-
     /// Issues `sfence`.
     #[inline]
     pub fn sfence() {
@@ -370,146 +363,40 @@ mod x86 {
     }
 }
 
-/// Hardware flush via `clwb` (falling back to `clflushopt`, then `clflush`)
-/// and fence via `sfence`.
+/// The hardware backend: real flush and fence instructions, counted into
+/// the thread's attributed `nvtraverse-obs` metric set.
 ///
-/// This is the configuration of the paper's NVRAM machine (Cascade Lake
-/// supports `clwb`; §5.1). On non-x86-64 targets the flush is a no-op and the
-/// fence is a sequentially consistent memory fence, preserving correctness of
-/// the concurrent algorithm while losing persistence (there is no NVRAM to
-/// persist to on such targets anyway).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Clwb;
-
-impl Backend for Clwb {
-    #[inline]
-    fn flush(addr: *const u8) {
-        pending::note_flush();
-        #[cfg(target_arch = "x86_64")]
-        x86::flush_writeback(addr);
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = addr;
-    }
-
-    #[inline]
-    fn fence() {
-        pending::note_fence();
-        #[cfg(target_arch = "x86_64")]
-        x86::sfence();
-        #[cfg(not(target_arch = "x86_64"))]
-        std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-        track::release();
-    }
-}
-
-/// Hardware flush via the synchronized `clflush` instruction.
+/// The flush is the best write-back instruction the CPU offers, chosen by
+/// CPUID at first use: `clwb`, else `clflushopt`, else `clflush`. The fence
+/// is `sfence`. That covers both of the paper's machines (§5.1): `clwb` on
+/// the Cascade Lake NVRAM machine, `clflush` where `clwb` is unavailable.
+/// The instructions work on any memory, so the volatile structures of the
+/// benchmarks get the same cost profile as a mapped pool.
 ///
-/// This matches the paper's second (AMD) machine, where `clwb` is not
-/// supported "so we used the synchronized clflush instruction instead"
-/// (§5.1). `clflush` both writes back and *invalidates* the line, which is
-/// why the paper observes extra cache misses from flushing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClflushSync;
-
-impl Backend for ClflushSync {
-    #[inline]
-    fn flush(addr: *const u8) {
-        pending::note_flush();
-        #[cfg(target_arch = "x86_64")]
-        x86::flush_sync(addr);
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = addr;
-    }
-
-    #[inline]
-    fn fence() {
-        pending::note_fence();
-        #[cfg(target_arch = "x86_64")]
-        x86::sfence();
-        #[cfg(not(target_arch = "x86_64"))]
-        std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-        track::release();
-    }
-}
-
-/// Wraps another backend and counts every flush and fence in the thread's
-/// attributed `nvtraverse-obs` metric set (when one is installed with
-/// `nvtraverse_obs::attribute_to`), tagged with the thread's current phase.
-///
-/// The ablation benchmark `abl1` uses `Count<Noop>` to report the exact
-/// number of persistence instructions each durability policy issues per
-/// operation — the quantity the paper's entire design minimizes.
-///
-/// Do not instantiate `Count<MmapBackend>`: [`MmapBackend`] already records
-/// into the attributed metric set itself, so wrapping it would double-count
-/// every flush and fence there.
-///
-/// # Example
-///
-/// ```
-/// use nvtraverse_obs as obs;
-/// use nvtraverse_pmem::{Backend, Count, Noop};
-///
-/// let (c, ()) = obs::counted(|| {
-///     Count::<Noop>::flush(std::ptr::null());
-///     Count::<Noop>::fence();
-/// });
-/// if obs::enabled() {
-///     assert_eq!((c.flushes, c.fences), (1, 1));
-/// }
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Count<B>(std::marker::PhantomData<fn() -> B>);
-
-impl<B: Backend> Backend for Count<B> {
-    const SIM: bool = B::SIM;
-
-    #[inline]
-    fn flush(addr: *const u8) {
-        // Count models a real backend's persistence stream even over `Noop`,
-        // so it notes pending flushes itself; a non-Noop inner backend
-        // noting again is harmless (only zero/non-zero is consulted).
-        pending::note_flush();
-        nvtraverse_obs::on_flush();
-        B::flush(addr);
-    }
-
-    #[inline]
-    fn fence() {
-        pending::note_fence();
-        nvtraverse_obs::on_fence();
-        B::fence();
-        track::release();
-    }
-}
-
-/// Flush/fence for a **memory-mapped pool file** (the `nvtraverse-pool`
-/// heap): `clwb` + `sfence` over the mapped region, with an `msync` fallback.
+/// Every flush and fence is recorded (per pool, per phase) when a metric
+/// set is attributed with `nvtraverse_obs::attribute_to` or
+/// `nvtraverse_obs::counted`; with none attributed nothing is recorded.
 ///
 /// On a DAX mapping of real NVRAM, `clwb`/`sfence` *is* the persistence
-/// protocol, identical to [`Clwb`]. On a page-cache-backed mapping of a
-/// regular file (every CI machine), written pages already survive process
-/// death — the kernel owns them — so `clwb`/`sfence` preserves the paper's
-/// cost profile while process-crash durability comes for free. Surviving
-/// *power* failure on such a mapping additionally requires `msync`; enable
-/// [`MmapBackend::set_msync_on_fence`] to issue `MS_SYNC` for every mapped
-/// region at each fence (orders of magnitude slower — measurement use only).
-/// Non-x86-64 targets always take the `msync` path, as they have no flush
-/// instruction to lean on.
-///
-/// Pool mappings are announced via [`MmapBackend::register_region`]; the
-/// `nvtraverse-pool` crate does this when a pool is opened.
+/// protocol. On a page-cache-backed mapping of a regular file (every CI
+/// machine), written pages already survive process death — the kernel owns
+/// them — so `clwb`/`sfence` keeps the paper's cost profile while
+/// process-crash durability comes for free. Non-x86-64 targets have no
+/// flush instruction, so there every fence `msync`s each pool mapping
+/// announced via [`MmapBackend::register_region`] (the `nvtraverse-pool`
+/// crate does this when a pool is opened).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MmapBackend;
 
 mod mmap_sync {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::RwLock;
 
     pub(super) static REGIONS: RwLock<Vec<(usize, usize)>> = RwLock::new(Vec::new());
     pub(super) static REGION_COUNT: AtomicUsize = AtomicUsize::new(0);
-    pub(super) static MSYNC_ON_FENCE: AtomicBool =
-        AtomicBool::new(cfg!(not(target_arch = "x86_64")));
+    /// Whether every fence also `msync`s every registered region: only
+    /// where there is no flush instruction to lean on.
+    pub(super) const MSYNC_ON_FENCE: bool = cfg!(not(target_arch = "x86_64"));
 
     #[cfg(unix)]
     // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
@@ -562,16 +449,8 @@ impl MmapBackend {
         mmap_sync::REGION_COUNT.store(regions.len(), std::sync::atomic::Ordering::Release);
     }
 
-    /// Selects whether every fence also `msync`s every registered region.
-    ///
-    /// Defaults to `false` on x86-64 (where `clwb`/`sfence` match the
-    /// paper's persistence protocol) and `true` elsewhere.
-    pub fn set_msync_on_fence(enabled: bool) {
-        mmap_sync::MSYNC_ON_FENCE.store(enabled, std::sync::atomic::Ordering::Release);
-    }
-
     /// Forces an `msync` of every registered region now (e.g. before a
-    /// planned shutdown), regardless of the fence setting.
+    /// planned shutdown); on x86-64 fences never do.
     pub fn sync_all_regions() {
         mmap_sync::msync_all();
     }
@@ -599,9 +478,7 @@ impl Backend for MmapBackend {
         x86::sfence();
         #[cfg(not(target_arch = "x86_64"))]
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-        if mmap_sync::MSYNC_ON_FENCE.load(std::sync::atomic::Ordering::Acquire)
-            && mmap_sync::region_count() > 0
-        {
+        if mmap_sync::MSYNC_ON_FENCE && mmap_sync::region_count() > 0 {
             mmap_sync::msync_all();
         }
         track::release();
@@ -672,65 +549,56 @@ mod tests {
     fn hardware_flush_and_fence_execute() {
         // Smoke test: the real instructions must not fault on valid memory.
         let data = vec![0u8; 256];
-        for b in 0..4 {
-            match b {
-                0 => {
-                    Clwb::flush(data.as_ptr());
-                    Clwb::fence();
-                }
-                1 => {
-                    ClflushSync::flush(data.as_ptr());
-                    ClflushSync::fence();
-                }
-                2 => Clwb::flush_range(data.as_ptr(), 256),
-                _ => ClflushSync::flush_range(data.as_ptr(), 1),
-            }
-        }
+        MmapBackend::flush(data.as_ptr());
+        MmapBackend::fence();
+        MmapBackend::flush_range(data.as_ptr(), 256);
+        MmapBackend::flush_range(data.as_ptr(), 1);
+        MmapBackend::fence();
     }
 
     #[test]
     fn flush_range_covers_every_line_once() {
-        // A 128-byte range starting mid-line spans exactly 3 lines; Count
-        // records 3. The buffer is line-aligned so the start really is
-        // mid-line.
+        // A 128-byte range starting mid-line spans exactly 3 lines, so 3
+        // flushes are recorded. The buffer is line-aligned so the start
+        // really is mid-line.
         #[repr(align(64))]
         struct Lines([u8; 256]);
         let data = Lines([0; 256]);
         let unaligned = unsafe { data.0.as_ptr().add(32) };
-        let (c, ()) = nvtraverse_obs::counted(|| Count::<Noop>::flush_range(unaligned, 128));
+        let (c, ()) = nvtraverse_obs::counted(|| MmapBackend::flush_range(unaligned, 128));
         assert_eq!(c.flushes, 3);
     }
 
     #[test]
     fn a_hold_lasts_until_the_holders_next_fence() {
-        type CB = Count<Noop>;
+        type B = MmapBackend;
         let x = 0u64;
         let a = &x as *const u64 as *const u8;
-        assert!(!CB::maybe_dirty(a));
-        CB::hold(a);
-        assert!(CB::maybe_dirty(a));
+        assert!(!B::maybe_dirty(a));
+        B::hold(a);
+        assert!(B::maybe_dirty(a));
         // Every thread sees the hold; only the holder's fence releases it.
         let addr = a as usize;
         std::thread::spawn(move || {
-            assert!(CB::maybe_dirty(addr as *const u8));
-            CB::fence();
-            assert!(CB::maybe_dirty(addr as *const u8));
+            assert!(B::maybe_dirty(addr as *const u8));
+            B::fence();
+            assert!(B::maybe_dirty(addr as *const u8));
         })
         .join()
         .unwrap();
-        CB::fence();
-        assert!(!CB::maybe_dirty(a));
+        B::fence();
+        assert!(!B::maybe_dirty(a));
     }
 
     #[test]
     fn cas_after_fence_runs_at_the_next_fence() {
-        type CB = Count<Noop>;
-        let c: PCell<u64, CB> = PCell::new(1);
+        type B = MmapBackend;
+        let c: PCell<u64, B> = PCell::new(1);
         // SAFETY: `c` outlives the fence below.
-        unsafe { CB::cas_after_fence(&c, 1, 2) };
+        unsafe { B::cas_after_fence(&c, 1, 2) };
         assert!(cas_after_fence_pending());
         assert_eq!(c.load(), 1, "not before the fence");
-        CB::fence();
+        B::fence();
         assert_eq!(c.load(), 2);
         assert!(!cas_after_fence_pending());
     }
@@ -739,10 +607,23 @@ mod tests {
     fn count_records_flushes_and_fences() {
         let x = 0u64;
         let (c, ()) = nvtraverse_obs::counted(|| {
-            Count::<Noop>::flush(&x as *const u64 as *const u8);
-            Count::<Noop>::flush(&x as *const u64 as *const u8);
-            Count::<Noop>::fence();
+            MmapBackend::flush(&x as *const u64 as *const u8);
+            MmapBackend::flush(&x as *const u64 as *const u8);
+            MmapBackend::fence();
         });
         assert_eq!((c.flushes, c.fences), (2, 1));
+    }
+
+    #[test]
+    fn unattributed_flush_and_fence_record_nothing_but_still_track_pending() {
+        let x = 0u64;
+        let (c, ()) = nvtraverse_obs::counted(|| {
+            let _none = nvtraverse_obs::attribute_to(None);
+            MmapBackend::flush(&x as *const u64 as *const u8);
+            assert!(flushes_pending());
+            MmapBackend::fence();
+            assert!(!flushes_pending());
+        });
+        assert_eq!((c.flushes, c.fences), (0, 0));
     }
 }

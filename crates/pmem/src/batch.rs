@@ -178,9 +178,12 @@ impl<B: Backend> Drop for FenceBatch<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Count, Noop};
+    use crate::MmapBackend;
 
-    type CB = Count<Noop>;
+    type CB = MmapBackend;
+
+    /// A real line for the tests' flushes to write back.
+    static LINE: u64 = 0;
 
     fn fences(f: impl FnOnce()) -> u64 {
         nvtraverse_obs::counted(f).0.fences
@@ -189,7 +192,7 @@ mod tests {
     /// An operation that wrote (so has a flush pending) and then reaches
     /// its closing fence.
     fn closing_fence() {
-        CB::flush(std::ptr::null());
+        CB::flush(&LINE as *const u64 as *const u8);
         if !defer_closing_fence() {
             CB::fence();
         }

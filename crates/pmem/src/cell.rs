@@ -227,7 +227,7 @@ unsafe impl<T: Word, B: Backend> Sync for PCell<T, B> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Clwb, Noop};
+    use crate::{MmapBackend, Noop};
 
     #[test]
     fn new_load_store_round_trip() {
@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn signed_values_round_trip_through_cell() {
-        let c: PCell<i64, Clwb> = PCell::new(i64::MIN);
+        let c: PCell<i64, MmapBackend> = PCell::new(i64::MIN);
         assert_eq!(c.load(), i64::MIN);
         assert_eq!(c.compare_exchange(i64::MIN, -2), Ok(i64::MIN));
         assert_eq!(c.load(), -2);
@@ -280,7 +280,7 @@ mod tests {
     fn cell_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<PCell<u64, Noop>>();
-        assert_send_sync::<PCell<*mut u8, Clwb>>();
+        assert_send_sync::<PCell<*mut u8, MmapBackend>>();
     }
 
     #[test]

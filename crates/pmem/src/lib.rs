@@ -6,33 +6,31 @@
 //! *flush* (`clwb`/`clflushopt`/`clflush`) followed by a *fence* (`sfence`).
 //! A crash loses everything that has not reached persistent memory.
 //!
-//! This crate provides that model several times over, unified behind the
+//! This crate provides that model three times over, unified behind the
 //! [`Backend`] trait so data structures are written once and instantiated
 //! with any backend:
 //!
 //! | Backend | flush / fence | Use |
 //! |---------|---------------|-----|
-//! | [`Clwb`] | `clwb` (or `clflushopt`/`clflush`) / `sfence` | the paper's NVRAM machine; true cost profile on DRAM |
-//! | [`ClflushSync`] | synchronized `clflush` / `sfence` | the paper's AMD machine (§5.1) |
-//! | [`MmapBackend`] | `clwb` / `sfence` over a mapped pool file, optional `msync` fallback | structures living in a `nvtraverse-pool` persistent heap |
+//! | [`MmapBackend`] | `clwb` (or `clflushopt`/`clflush`, by CPUID) / `sfence`, counted into `nvtraverse-obs` | real instructions: benchmarks, flushes/op counts, `nvtraverse-pool` heaps |
 //! | [`Sim`] | routed through the crash simulator | crash-point tests |
-//! | [`Count<B>`] | delegates to `B`, counting | the flushes/op ablation |
 //! | [`Noop`] | nothing | the "orig" (volatile) series |
 //!
-//! * **Hardware backends** ([`Clwb`], [`ClflushSync`]) issue the real x86-64
-//!   instructions (falling back gracefully on other architectures). They give
-//!   benchmarks the true cost profile of flushes and fences even when the
-//!   physical memory behind them is DRAM.
+//! * **The hardware backend** ([`MmapBackend`]) issues the real x86-64
+//!   instructions, choosing the flush the CPU offers, so it covers both of
+//!   the paper's machines (§5.1). It gives benchmarks the true cost profile
+//!   of flushes and fences even when the physical memory behind them is
+//!   DRAM, and records each one into the thread's attributed
+//!   `nvtraverse-obs` metric set, which is how every flushes/op figure is
+//!   counted. On a DAX NVRAM mapping of a pool `clwb`/`sfence` is exactly
+//!   the persistence protocol; on targets without a flush instruction each
+//!   fence `msync`s the registered pool mappings instead.
 //! * **A simulated backend** ([`Sim`]) models the paper's §2 persistency
 //!   semantics exactly: every shared 64-bit cell ([`PCell`]) keeps a separate
 //!   *persisted* copy, flushes are buffered per thread, a fence publishes the
 //!   buffered flushes, and a *crash* rolls every cell back to its persisted
 //!   copy — poisoning cells that were never persisted. This is the engine of
 //!   the crash tests that validate durable linearizability.
-//! * **The mapped-pool backend** ([`MmapBackend`]) persists a memory-mapped
-//!   pool file — `clwb`/`sfence` is exactly right on a DAX NVRAM mapping,
-//!   and [`MmapBackend::set_msync_on_fence`] adds `msync` for page-cache
-//!   mappings that must survive power loss, not just process death.
 //!
 //! The [`heap`] module is the allocation seam between all of this and the
 //! `nvtraverse-pool` crate: a registry of foreign heaps (address ranges plus
@@ -43,12 +41,12 @@
 //! # Example
 //!
 //! ```
-//! use nvtraverse_pmem::{Backend, Clwb, PCell};
+//! use nvtraverse_pmem::{Backend, MmapBackend, PCell};
 //!
-//! let cell: PCell<u64, Clwb> = PCell::new(7);
+//! let cell: PCell<u64, MmapBackend> = PCell::new(7);
 //! cell.store(8);
-//! Clwb::flush(cell.addr());
-//! Clwb::fence(); // 8 is now guaranteed persistent on real NVRAM
+//! MmapBackend::flush(cell.addr());
+//! MmapBackend::fence(); // 8 is now guaranteed persistent on real NVRAM
 //! assert_eq!(cell.load(), 8);
 //! ```
 
@@ -64,8 +62,7 @@ pub mod sim;
 mod word;
 
 pub use backend::{
-    cas_after_fence_pending, flushes_pending, Backend, ClflushSync, Clwb, Count, MmapBackend, Noop,
-    Sim, CACHE_LINE,
+    cas_after_fence_pending, flushes_pending, Backend, MmapBackend, Noop, Sim, CACHE_LINE,
 };
 pub use cell::PCell;
 pub use sim::{CrashSignal, SimHandle, SimObserver, WriteKind, POISON};

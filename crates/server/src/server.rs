@@ -39,16 +39,12 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Acceptor threads sharing the listener (thread-per-core shape).
     pub workers: usize,
-    /// How long [`Server::shutdown`] waits for in-flight requests to
-    /// drain before cutting connections.
-    pub drain_timeout: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).min(16),
-            drain_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -161,7 +157,6 @@ impl Server {
                     .expect("spawn acceptor"))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        let _ = cfg.drain_timeout; // stored per-shutdown call; see `shutdown_with`
         Ok(Server { shared, acceptors, uds_path, tcp_addr })
     }
 
@@ -213,8 +208,8 @@ impl Server {
         )
     }
 
-    /// Stops accepting, drains in-flight requests (bounded by
-    /// `drain_timeout` of the start config — 5 s here), cuts idle
+    /// Stops accepting, drains in-flight requests (for at most 5 s; see
+    /// [`Server::shutdown_with`] to choose the bound), cuts idle
     /// connections, joins every thread, and closes the store.
     ///
     /// # Errors

@@ -131,10 +131,10 @@ impl<K: Word, V: Word, B: Backend> fmt::Debug for SeekRecord<K, V, B> {
 /// ```
 /// use nvtraverse::policy::NvTraverse;
 /// use nvtraverse::DurableSet;
-/// use nvtraverse_pmem::Clwb;
+/// use nvtraverse_pmem::MmapBackend;
 /// use nvtraverse_structures::ellen_bst::EllenBst;
 ///
-/// let t: EllenBst<u64, u64, NvTraverse<Clwb>> = EllenBst::new();
+/// let t: EllenBst<u64, u64, NvTraverse<MmapBackend>> = EllenBst::new();
 /// assert!(t.insert(5, 50));
 /// assert_eq!(t.get(5), Some(50));
 /// assert!(t.remove(5));
@@ -909,7 +909,7 @@ mod tests {
     use super::*;
     use nvtraverse::model::ModelSet;
     use nvtraverse::policy::{Izraelevitz, LinkPersist, NvTraverse, Volatile};
-    use nvtraverse_pmem::{Clwb, Noop};
+    use nvtraverse_pmem::{MmapBackend, Noop};
 
     fn smoke<D: Durability>() {
         let t: EllenBst<u64, u64, D> = EllenBst::new();
@@ -934,17 +934,17 @@ mod tests {
 
     #[test]
     fn nvtraverse_semantics() {
-        smoke::<NvTraverse<Clwb>>();
+        smoke::<NvTraverse<MmapBackend>>();
     }
 
     #[test]
     fn izraelevitz_semantics() {
-        smoke::<Izraelevitz<Clwb>>();
+        smoke::<Izraelevitz<MmapBackend>>();
     }
 
     #[test]
     fn link_persist_semantics() {
-        smoke::<LinkPersist<Clwb>>();
+        smoke::<LinkPersist<MmapBackend>>();
     }
 
     #[test]
@@ -1008,7 +1008,7 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_ranges() {
-        let t: EllenBst<u64, u64, NvTraverse<Clwb>> = EllenBst::new();
+        let t: EllenBst<u64, u64, NvTraverse<MmapBackend>> = EllenBst::new();
         std::thread::scope(|s| {
             for tid in 0..4u64 {
                 let t = &t;
@@ -1029,7 +1029,7 @@ mod tests {
     #[test]
     fn concurrent_contended_stress() {
         use rand::prelude::*;
-        let t: EllenBst<u64, u64, NvTraverse<Clwb>> = EllenBst::new();
+        let t: EllenBst<u64, u64, NvTraverse<MmapBackend>> = EllenBst::new();
         std::thread::scope(|s| {
             for tid in 0..4u64 {
                 let t = &t;

@@ -34,10 +34,10 @@ use std::io;
 /// ```
 /// use nvtraverse::policy::NvTraverse;
 /// use nvtraverse::DurableSet;
-/// use nvtraverse_pmem::Clwb;
+/// use nvtraverse_pmem::MmapBackend;
 /// use nvtraverse_structures::hash::HashMapDs;
 ///
-/// let map: HashMapDs<u64, u64, NvTraverse<Clwb>> = HashMapDs::new(64);
+/// let map: HashMapDs<u64, u64, NvTraverse<MmapBackend>> = HashMapDs::new(64);
 /// assert!(map.insert(17, 1700));
 /// assert_eq!(map.get(17), Some(1700));
 /// ```
@@ -330,11 +330,11 @@ mod tests {
     use super::*;
     use nvtraverse::model::ModelSet;
     use nvtraverse::policy::{NvTraverse, Volatile};
-    use nvtraverse_pmem::{Clwb, Noop};
+    use nvtraverse_pmem::{MmapBackend, Noop};
 
     #[test]
     fn basic_semantics() {
-        let m: HashMapDs<u64, u64, NvTraverse<Clwb>> = HashMapDs::new(16);
+        let m: HashMapDs<u64, u64, NvTraverse<MmapBackend>> = HashMapDs::new(16);
         assert!(m.insert(1, 10));
         assert!(m.insert(17, 170)); // likely different bucket
         assert!(!m.insert(1, 11));
@@ -385,7 +385,7 @@ mod tests {
 
     #[test]
     fn concurrent_stress_across_buckets() {
-        let m: HashMapDs<u64, u64, NvTraverse<Clwb>> = HashMapDs::new(32);
+        let m: HashMapDs<u64, u64, NvTraverse<MmapBackend>> = HashMapDs::new(32);
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let m = &m;

@@ -35,11 +35,11 @@
 //! ```
 //! use nvtraverse::policy::NvTraverse;
 //! use nvtraverse::DurableSet;
-//! use nvtraverse_pmem::Clwb;
+//! use nvtraverse_pmem::MmapBackend;
 //! use nvtraverse_structures::list::HarrisList;
 //!
 //! // A durably linearizable sorted list on real flush instructions.
-//! let list: HarrisList<u64, u64, NvTraverse<Clwb>> = HarrisList::new();
+//! let list: HarrisList<u64, u64, NvTraverse<MmapBackend>> = HarrisList::new();
 //! assert!(list.insert(3, 30));
 //! assert!(list.contains(3));
 //! assert!(list.remove(3));
@@ -84,42 +84,44 @@ pub mod soft_list;
 pub mod stack;
 
 /// Convenient aliases for the common instantiations of every structure.
+///
+/// Every durable alias runs on [`MmapBackend`](nvtraverse_pmem::MmapBackend),
+/// the one hardware backend: real flush and fence instructions, counted
+/// into whichever `nvtraverse-obs` metric set the thread attributes to.
 pub mod prelude {
     use nvtraverse::policy::{Izraelevitz, LinkPersist, NvTraverse, Soft, Volatile};
-    use nvtraverse_pmem::Clwb;
+    use nvtraverse_pmem::MmapBackend;
 
     /// The paper's "Traverse" series: NVTraverse on hardware flushes.
-    pub type DurableList<K, V> = crate::list::HarrisList<K, V, NvTraverse<Clwb>>;
+    pub type DurableList<K, V> = crate::list::HarrisList<K, V, NvTraverse<MmapBackend>>;
     /// The paper's "orig" series: no persistence.
     pub type VolatileList<K, V> = crate::list::HarrisList<K, V, Volatile>;
     /// The paper's "Izraelevitz" series.
-    pub type IzraelevitzList<K, V> = crate::list::HarrisList<K, V, Izraelevitz<Clwb>>;
+    pub type IzraelevitzList<K, V> = crate::list::HarrisList<K, V, Izraelevitz<MmapBackend>>;
     /// The paper's "Log Free" series (link-and-persist).
-    pub type LogFreeList<K, V> = crate::list::HarrisList<K, V, LinkPersist<Clwb>>;
+    pub type LogFreeList<K, V> = crate::list::HarrisList<K, V, LinkPersist<MmapBackend>>;
     /// The SOFT related-work series: volatile links, one validity flush
     /// per update (list form).
-    pub type SoftDurableList<K, V> = crate::soft_list::SoftList<K, V, Soft<Clwb>>;
+    pub type SoftDurableList<K, V> = crate::soft_list::SoftList<K, V, Soft<MmapBackend>>;
 
     /// Durable hash table.
-    pub type DurableHashMap<K, V> = crate::hash::HashMapDs<K, V, NvTraverse<Clwb>>;
+    pub type DurableHashMap<K, V> = crate::hash::HashMapDs<K, V, NvTraverse<MmapBackend>>;
     /// The SOFT related-work series, hash-table form.
-    pub type SoftDurableHashMap<K, V> = crate::soft_hash::SoftHash<K, V, Soft<Clwb>>;
+    pub type SoftDurableHashMap<K, V> = crate::soft_hash::SoftHash<K, V, Soft<MmapBackend>>;
     /// Durable Ellen et al. BST.
-    pub type DurableEllenBst<K, V> = crate::ellen_bst::EllenBst<K, V, NvTraverse<Clwb>>;
+    pub type DurableEllenBst<K, V> = crate::ellen_bst::EllenBst<K, V, NvTraverse<MmapBackend>>;
     /// Durable Natarajan–Mittal BST.
-    pub type DurableNmBst<K, V> = crate::nm_bst::NmBst<K, V, NvTraverse<Clwb>>;
+    pub type DurableNmBst<K, V> = crate::nm_bst::NmBst<K, V, NvTraverse<MmapBackend>>;
     /// Durable skiplist.
-    pub type DurableSkipList<K, V> = crate::skiplist::SkipList<K, V, NvTraverse<Clwb>>;
+    pub type DurableSkipList<K, V> = crate::skiplist::SkipList<K, V, NvTraverse<MmapBackend>>;
     /// Durable Michael–Scott queue.
-    pub type DurableQueue<V> = crate::queue::MsQueue<V, NvTraverse<Clwb>>;
+    pub type DurableQueue<V> = crate::queue::MsQueue<V, NvTraverse<MmapBackend>>;
     /// Durable Treiber stack.
-    pub type DurableStack<V> = crate::stack::TreiberStack<V, NvTraverse<Clwb>>;
+    pub type DurableStack<V> = crate::stack::TreiberStack<V, NvTraverse<MmapBackend>>;
     /// Durable min-priority queue.
-    pub type DurablePriorityQueue<K, V> = crate::pqueue::PriorityQueue<K, V, NvTraverse<Clwb>>;
+    pub type DurablePriorityQueue<K, V> = crate::pqueue::PriorityQueue<K, V, NvTraverse<MmapBackend>>;
 
-    /// A hash-sharded durable set over N independent pool files
-    /// (`MmapBackend`: the pool's own flush/fence backend).
-    pub type ShardedDurableSet<K, V> = crate::sharded::ShardedSet<
-        crate::hash::HashMapDs<K, V, NvTraverse<nvtraverse_pmem::MmapBackend>>,
-    >;
+    /// A hash-sharded durable set over N independent pool files.
+    pub type ShardedDurableSet<K, V> =
+        crate::sharded::ShardedSet<crate::hash::HashMapDs<K, V, NvTraverse<MmapBackend>>>;
 }

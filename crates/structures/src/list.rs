@@ -861,7 +861,7 @@ mod tests {
     use super::*;
     use nvtraverse::model::ModelSet;
     use nvtraverse::policy::{Izraelevitz, LinkPersist, NvTraverse, Volatile};
-    use nvtraverse_pmem::{Clwb, Noop};
+    use nvtraverse_pmem::{MmapBackend, Noop};
 
     fn policies_smoke<D: Durability>() {
         let l: HarrisList<u64, u64, D> = HarrisList::new();
@@ -890,17 +890,17 @@ mod tests {
 
     #[test]
     fn nvtraverse_semantics() {
-        policies_smoke::<NvTraverse<Clwb>>();
+        policies_smoke::<NvTraverse<MmapBackend>>();
     }
 
     #[test]
     fn izraelevitz_semantics() {
-        policies_smoke::<Izraelevitz<Clwb>>();
+        policies_smoke::<Izraelevitz<MmapBackend>>();
     }
 
     #[test]
     fn link_persist_semantics() {
-        policies_smoke::<LinkPersist<Clwb>>();
+        policies_smoke::<LinkPersist<MmapBackend>>();
     }
 
     #[test]
@@ -960,7 +960,7 @@ mod tests {
     fn concurrent_disjoint_ranges_keep_all_inserts() {
         const THREADS: u64 = 4;
         const PER: u64 = 300;
-        let l: HarrisList<u64, u64, NvTraverse<Clwb>> = HarrisList::new();
+        let l: HarrisList<u64, u64, NvTraverse<MmapBackend>> = HarrisList::new();
         std::thread::scope(|s| {
             for t in 0..THREADS {
                 let l = &l;
@@ -984,7 +984,7 @@ mod tests {
         // All threads fight over one key; successful inserts and removes
         // must alternate per key, so totals balance.
         use std::sync::atomic::{AtomicI64, Ordering};
-        let l: HarrisList<u64, u64, NvTraverse<Clwb>> = HarrisList::new();
+        let l: HarrisList<u64, u64, NvTraverse<MmapBackend>> = HarrisList::new();
         let balance = AtomicI64::new(0);
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -1011,7 +1011,7 @@ mod tests {
     #[test]
     fn concurrent_mixed_ops_stress() {
         use rand::prelude::*;
-        let l: HarrisList<u64, u64, LinkPersist<Clwb>> = HarrisList::new();
+        let l: HarrisList<u64, u64, LinkPersist<MmapBackend>> = HarrisList::new();
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let l = &l;

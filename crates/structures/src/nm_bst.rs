@@ -108,10 +108,10 @@ impl<K: Word, V: Word, B: Backend> fmt::Debug for NmSeek<K, V, B> {
 /// ```
 /// use nvtraverse::policy::NvTraverse;
 /// use nvtraverse::DurableSet;
-/// use nvtraverse_pmem::Clwb;
+/// use nvtraverse_pmem::MmapBackend;
 /// use nvtraverse_structures::nm_bst::NmBst;
 ///
-/// let t: NmBst<u64, u64, NvTraverse<Clwb>> = NmBst::new();
+/// let t: NmBst<u64, u64, NvTraverse<MmapBackend>> = NmBst::new();
 /// assert!(t.insert(7, 70));
 /// assert_eq!(t.get(7), Some(70));
 /// assert!(t.remove(7));
@@ -785,7 +785,7 @@ mod tests {
     use super::*;
     use nvtraverse::model::ModelSet;
     use nvtraverse::policy::{Izraelevitz, LinkPersist, NvTraverse, Volatile};
-    use nvtraverse_pmem::{Clwb, Noop};
+    use nvtraverse_pmem::{MmapBackend, Noop};
 
     fn smoke<D: Durability>() {
         let t: NmBst<u64, u64, D> = NmBst::new();
@@ -810,17 +810,17 @@ mod tests {
 
     #[test]
     fn nvtraverse_semantics() {
-        smoke::<NvTraverse<Clwb>>();
+        smoke::<NvTraverse<MmapBackend>>();
     }
 
     #[test]
     fn izraelevitz_semantics() {
-        smoke::<Izraelevitz<Clwb>>();
+        smoke::<Izraelevitz<MmapBackend>>();
     }
 
     #[test]
     fn link_persist_semantics() {
-        smoke::<LinkPersist<Clwb>>();
+        smoke::<LinkPersist<MmapBackend>>();
     }
 
     #[test]
@@ -874,7 +874,7 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_ranges() {
-        let t: NmBst<u64, u64, NvTraverse<Clwb>> = NmBst::new();
+        let t: NmBst<u64, u64, NvTraverse<MmapBackend>> = NmBst::new();
         std::thread::scope(|s| {
             for tid in 0..4u64 {
                 let t = &t;
@@ -895,7 +895,7 @@ mod tests {
     #[test]
     fn concurrent_contended_stress() {
         use rand::prelude::*;
-        let t: NmBst<u64, u64, NvTraverse<Clwb>> = NmBst::new();
+        let t: NmBst<u64, u64, NvTraverse<MmapBackend>> = NmBst::new();
         std::thread::scope(|s| {
             for tid in 0..4u64 {
                 let t = &t;

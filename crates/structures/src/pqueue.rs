@@ -25,10 +25,10 @@ use std::io;
 ///
 /// ```
 /// use nvtraverse::policy::NvTraverse;
-/// use nvtraverse_pmem::Clwb;
+/// use nvtraverse_pmem::MmapBackend;
 /// use nvtraverse_structures::pqueue::PriorityQueue;
 ///
-/// let pq: PriorityQueue<u64, u64, NvTraverse<Clwb>> = PriorityQueue::new();
+/// let pq: PriorityQueue<u64, u64, NvTraverse<MmapBackend>> = PriorityQueue::new();
 /// pq.push(5, 50);
 /// pq.push(1, 10);
 /// pq.push(3, 30);
@@ -188,11 +188,11 @@ where
 mod tests {
     use super::*;
     use nvtraverse::policy::{NvTraverse, Volatile};
-    use nvtraverse_pmem::{Clwb, Noop};
+    use nvtraverse_pmem::{MmapBackend, Noop};
 
     #[test]
     fn min_order_is_respected() {
-        let pq: PriorityQueue<u64, u64, NvTraverse<Clwb>> = PriorityQueue::new();
+        let pq: PriorityQueue<u64, u64, NvTraverse<MmapBackend>> = PriorityQueue::new();
         for p in [7u64, 2, 9, 4, 1, 8] {
             assert!(pq.push(p, p * 10));
         }
@@ -230,7 +230,7 @@ mod tests {
         use std::collections::HashSet;
         use std::sync::Mutex;
         const N: u64 = 4000;
-        let pq: PriorityQueue<u64, u64, NvTraverse<Clwb>> = PriorityQueue::new();
+        let pq: PriorityQueue<u64, u64, NvTraverse<MmapBackend>> = PriorityQueue::new();
         for p in 0..N {
             pq.push(p, p);
         }

@@ -78,10 +78,10 @@ pub struct QueueWindow<V: Word, B: Backend> {
 ///
 /// ```
 /// use nvtraverse::policy::NvTraverse;
-/// use nvtraverse_pmem::Clwb;
+/// use nvtraverse_pmem::MmapBackend;
 /// use nvtraverse_structures::queue::MsQueue;
 ///
-/// let q: MsQueue<u64, NvTraverse<Clwb>> = MsQueue::new();
+/// let q: MsQueue<u64, NvTraverse<MmapBackend>> = MsQueue::new();
 /// q.enqueue(1);
 /// q.enqueue(2);
 /// assert_eq!(q.dequeue(), Some(1));
@@ -484,7 +484,7 @@ impl<V: Word, D: Durability> Drop for MsQueue<V, D> {
 mod tests {
     use super::*;
     use nvtraverse::policy::{Izraelevitz, NvTraverse, Volatile};
-    use nvtraverse_pmem::{Clwb, Noop};
+    use nvtraverse_pmem::{MmapBackend, Noop};
 
     fn fifo_smoke<D: Durability>() {
         let q: MsQueue<u64, D> = MsQueue::new();
@@ -507,12 +507,12 @@ mod tests {
 
     #[test]
     fn nvtraverse_fifo() {
-        fifo_smoke::<NvTraverse<Clwb>>();
+        fifo_smoke::<NvTraverse<MmapBackend>>();
     }
 
     #[test]
     fn izraelevitz_fifo() {
-        fifo_smoke::<Izraelevitz<Clwb>>();
+        fifo_smoke::<Izraelevitz<MmapBackend>>();
     }
 
     #[test]
@@ -536,7 +536,7 @@ mod tests {
         const PRODUCERS: u64 = 2;
         const CONSUMERS: usize = 2;
         const PER: u64 = 2000;
-        let q: MsQueue<u64, NvTraverse<Clwb>> = MsQueue::new();
+        let q: MsQueue<u64, NvTraverse<MmapBackend>> = MsQueue::new();
         let seen = Mutex::new(HashSet::new());
         std::thread::scope(|s| {
             for p in 0..PRODUCERS {
@@ -578,7 +578,7 @@ mod tests {
 
     #[test]
     fn per_producer_order_is_preserved() {
-        let q: MsQueue<u64, NvTraverse<Clwb>> = MsQueue::new();
+        let q: MsQueue<u64, NvTraverse<MmapBackend>> = MsQueue::new();
         std::thread::scope(|s| {
             for p in 0..2u64 {
                 let q = &q;

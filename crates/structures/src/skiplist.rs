@@ -95,10 +95,10 @@ impl<K: Word, V: Word, B: Backend> fmt::Debug for SkipWindow<K, V, B> {
 /// ```
 /// use nvtraverse::policy::NvTraverse;
 /// use nvtraverse::DurableSet;
-/// use nvtraverse_pmem::Clwb;
+/// use nvtraverse_pmem::MmapBackend;
 /// use nvtraverse_structures::skiplist::SkipList;
 ///
-/// let s: SkipList<u64, u64, NvTraverse<Clwb>> = SkipList::new();
+/// let s: SkipList<u64, u64, NvTraverse<MmapBackend>> = SkipList::new();
 /// assert!(s.insert(9, 90));
 /// assert_eq!(s.get(9), Some(90));
 /// ```
@@ -1021,7 +1021,7 @@ mod tests {
     use super::*;
     use nvtraverse::model::ModelSet;
     use nvtraverse::policy::{Izraelevitz, LinkPersist, NvTraverse, Volatile};
-    use nvtraverse_pmem::{Clwb, Noop};
+    use nvtraverse_pmem::{MmapBackend, Noop};
 
     fn smoke<D: Durability>() {
         let s: SkipList<u64, u64, D> = SkipList::new();
@@ -1045,17 +1045,17 @@ mod tests {
 
     #[test]
     fn nvtraverse_semantics() {
-        smoke::<NvTraverse<Clwb>>();
+        smoke::<NvTraverse<MmapBackend>>();
     }
 
     #[test]
     fn izraelevitz_semantics() {
-        smoke::<Izraelevitz<Clwb>>();
+        smoke::<Izraelevitz<MmapBackend>>();
     }
 
     #[test]
     fn link_persist_semantics() {
-        smoke::<LinkPersist<Clwb>>();
+        smoke::<LinkPersist<MmapBackend>>();
     }
 
     #[test]
@@ -1099,7 +1099,7 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_ranges() {
-        let s: SkipList<u64, u64, NvTraverse<Clwb>> = SkipList::new();
+        let s: SkipList<u64, u64, NvTraverse<MmapBackend>> = SkipList::new();
         std::thread::scope(|sc| {
             for tid in 0..4u64 {
                 let s = &s;
@@ -1120,7 +1120,7 @@ mod tests {
     #[test]
     fn concurrent_contended_stress() {
         use rand::prelude::*;
-        let s: SkipList<u64, u64, NvTraverse<Clwb>> = SkipList::new();
+        let s: SkipList<u64, u64, NvTraverse<MmapBackend>> = SkipList::new();
         std::thread::scope(|sc| {
             for tid in 0..4u64 {
                 let s = &s;
@@ -1206,7 +1206,7 @@ mod tests {
         for i in 0..iters {
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::spawn(move || {
-                let s: SkipList<u64, u64, NvTraverse<Clwb>> = SkipList::new();
+                let s: SkipList<u64, u64, NvTraverse<MmapBackend>> = SkipList::new();
                 std::thread::scope(|sc| {
                     for tid in 0..4u64 {
                         let s = &s;

@@ -31,10 +31,10 @@ use std::io;
 /// ```
 /// use nvtraverse::policy::Soft;
 /// use nvtraverse::DurableSet;
-/// use nvtraverse_pmem::Clwb;
+/// use nvtraverse_pmem::MmapBackend;
 /// use nvtraverse_structures::soft_hash::SoftHash;
 ///
-/// let map: SoftHash<u64, u64, Soft<Clwb>> = SoftHash::new(64);
+/// let map: SoftHash<u64, u64, Soft<MmapBackend>> = SoftHash::new(64);
 /// assert!(map.insert(17, 1700));
 /// assert_eq!(map.get(17), Some(1700));
 /// ```
@@ -322,11 +322,11 @@ mod tests {
     use super::*;
     use nvtraverse::model::ModelSet;
     use nvtraverse::policy::{Soft, Volatile};
-    use nvtraverse_pmem::{Clwb, Noop, Sim, SimHandle};
+    use nvtraverse_pmem::{MmapBackend, Noop, Sim, SimHandle};
 
     #[test]
     fn basic_semantics() {
-        let m: SoftHash<u64, u64, Soft<Clwb>> = SoftHash::new(16);
+        let m: SoftHash<u64, u64, Soft<MmapBackend>> = SoftHash::new(16);
         assert!(m.insert(1, 10));
         assert!(m.insert(17, 170));
         assert!(!m.insert(1, 11));
@@ -367,7 +367,7 @@ mod tests {
 
     #[test]
     fn concurrent_stress_across_buckets() {
-        let m: SoftHash<u64, u64, Soft<Clwb>> = SoftHash::new(32);
+        let m: SoftHash<u64, u64, Soft<MmapBackend>> = SoftHash::new(32);
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let m = &m;

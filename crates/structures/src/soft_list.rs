@@ -217,9 +217,8 @@ impl<K: Word, V: Word, B: Backend> fmt::Debug for SoftNode<K, V, B> {
 
 /// Cache-line-aligned box for the volatile allocation path: a 64-aligned
 /// node puts the 48-byte persistent header in exactly one cache line, so
-/// the insert's header flush is deterministically one flush under the
-/// counting backend (the pool path provides 16-byte alignment and its own
-/// backend). `repr(C)` wrapper: a `*mut AlignedNode` is a `*mut SoftNode`.
+/// the insert's header flush is deterministically one flush (the pool
+/// path provides 16-byte alignment). `repr(C)` wrapper: a `*mut AlignedNode` is a `*mut SoftNode`.
 #[repr(C, align(64))]
 struct AlignedNode<K: Word, V: Word, B: Backend>(SoftNode<K, V, B>);
 
@@ -1050,7 +1049,7 @@ mod tests {
     use super::*;
     use nvtraverse::model::ModelSet;
     use nvtraverse::policy::{Soft, Volatile};
-    use nvtraverse_pmem::{Clwb, Noop, Sim, SimHandle};
+    use nvtraverse_pmem::{MmapBackend, Noop, Sim, SimHandle};
 
     fn soft_smoke<D: Durability>() {
         let l: SoftList<u64, u64, D> = SoftList::new();
@@ -1070,7 +1069,7 @@ mod tests {
 
     #[test]
     fn soft_semantics() {
-        soft_smoke::<Soft<Clwb>>();
+        soft_smoke::<Soft<MmapBackend>>();
     }
 
     #[test]
@@ -1101,7 +1100,7 @@ mod tests {
     fn concurrent_disjoint_ranges_keep_all_inserts() {
         const THREADS: u64 = 4;
         const PER: u64 = 300;
-        let l: SoftList<u64, u64, Soft<Clwb>> = SoftList::new();
+        let l: SoftList<u64, u64, Soft<MmapBackend>> = SoftList::new();
         std::thread::scope(|s| {
             for t in 0..THREADS {
                 let l = &l;
@@ -1123,7 +1122,7 @@ mod tests {
     #[test]
     fn concurrent_contended_single_key_is_coherent() {
         use std::sync::atomic::{AtomicI64, Ordering};
-        let l: SoftList<u64, u64, Soft<Clwb>> = SoftList::new();
+        let l: SoftList<u64, u64, Soft<MmapBackend>> = SoftList::new();
         let balance = AtomicI64::new(0);
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -1353,7 +1352,7 @@ mod tests {
     #[test]
     fn poison_looking_bits_are_ordinary_data_on_a_real_backend() {
         const BITS: u64 = 0xDEAD_BEEF_DEAD_BEEF;
-        let l: SoftList<u64, u64, Soft<Clwb>> = SoftList::new();
+        let l: SoftList<u64, u64, Soft<MmapBackend>> = SoftList::new();
         assert!(l.insert(BITS, BITS));
         assert!(l.insert(1, 10));
         l.recover_soft();

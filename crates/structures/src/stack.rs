@@ -43,10 +43,10 @@ pub enum StackOp<V> {
 ///
 /// ```
 /// use nvtraverse::policy::NvTraverse;
-/// use nvtraverse_pmem::Clwb;
+/// use nvtraverse_pmem::MmapBackend;
 /// use nvtraverse_structures::stack::TreiberStack;
 ///
-/// let s: TreiberStack<u64, NvTraverse<Clwb>> = TreiberStack::new();
+/// let s: TreiberStack<u64, NvTraverse<MmapBackend>> = TreiberStack::new();
 /// s.push(1);
 /// s.push(2);
 /// assert_eq!(s.pop(), Some(2));
@@ -372,7 +372,7 @@ impl<V: Word, D: Durability> Drop for TreiberStack<V, D> {
 mod tests {
     use super::*;
     use nvtraverse::policy::{Izraelevitz, NvTraverse, Volatile};
-    use nvtraverse_pmem::{Clwb, Noop};
+    use nvtraverse_pmem::{MmapBackend, Noop};
 
     fn lifo_smoke<D: Durability>() {
         let s: TreiberStack<u64, D> = TreiberStack::new();
@@ -395,12 +395,12 @@ mod tests {
 
     #[test]
     fn nvtraverse_lifo() {
-        lifo_smoke::<NvTraverse<Clwb>>();
+        lifo_smoke::<NvTraverse<MmapBackend>>();
     }
 
     #[test]
     fn izraelevitz_lifo() {
-        lifo_smoke::<Izraelevitz<Clwb>>();
+        lifo_smoke::<Izraelevitz<MmapBackend>>();
     }
 
     #[test]
@@ -420,7 +420,7 @@ mod tests {
         use std::sync::Mutex;
         const THREADS: u64 = 4;
         const PER: u64 = 1500;
-        let s: TreiberStack<u64, NvTraverse<Clwb>> = TreiberStack::new();
+        let s: TreiberStack<u64, NvTraverse<MmapBackend>> = TreiberStack::new();
         let popped = Mutex::new(HashSet::new());
         std::thread::scope(|sc| {
             for t in 0..THREADS {

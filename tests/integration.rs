@@ -6,7 +6,7 @@ use nvtraverse::policy::{Durability, Izraelevitz, LinkPersist, NvTraverse, Volat
 use nvtraverse::DurableSet;
 use nvtraverse_ebr::Collector;
 use nvtraverse_onefile::{TmBst, TmList};
-use nvtraverse_pmem::{Clwb, ClflushSync, Noop};
+use nvtraverse_pmem::{MmapBackend, Noop};
 use nvtraverse_structures::ellen_bst::EllenBst;
 use nvtraverse_structures::hash::HashMapDs;
 use nvtraverse_structures::list::HarrisList;
@@ -47,10 +47,9 @@ fn every_structure_every_policy() {
     macro_rules! matrix {
         ($ctor:ident) => {
             all_policies_for(|| $ctor::<u64, u64, Volatile>::new());
-            all_policies_for(|| $ctor::<u64, u64, NvTraverse<Clwb>>::new());
-            all_policies_for(|| $ctor::<u64, u64, NvTraverse<ClflushSync>>::new());
+            all_policies_for(|| $ctor::<u64, u64, NvTraverse<MmapBackend>>::new());
             all_policies_for(|| $ctor::<u64, u64, Izraelevitz<Noop>>::new());
-            all_policies_for(|| $ctor::<u64, u64, LinkPersist<Clwb>>::new());
+            all_policies_for(|| $ctor::<u64, u64, LinkPersist<MmapBackend>>::new());
         };
     }
     matrix!(HarrisList);
@@ -58,15 +57,15 @@ fn every_structure_every_policy() {
     matrix!(NmBst);
     matrix!(SkipList);
     all_policies_for(|| HashMapDs::<u64, u64, Volatile>::new(16));
-    all_policies_for(|| HashMapDs::<u64, u64, NvTraverse<Clwb>>::new(16));
+    all_policies_for(|| HashMapDs::<u64, u64, NvTraverse<MmapBackend>>::new(16));
     all_policies_for(|| HashMapDs::<u64, u64, Izraelevitz<Noop>>::new(16));
-    all_policies_for(|| HashMapDs::<u64, u64, LinkPersist<Clwb>>::new(16));
+    all_policies_for(|| HashMapDs::<u64, u64, LinkPersist<MmapBackend>>::new(16));
 }
 
 #[test]
 fn ptm_structures_through_the_same_trait() {
-    workout(&TmList::<u64, u64, Clwb>::new());
-    workout(&TmBst::<u64, u64, Clwb>::new());
+    workout(&TmList::<u64, u64, MmapBackend>::new());
+    workout(&TmBst::<u64, u64, MmapBackend>::new());
 }
 
 #[test]
@@ -95,7 +94,7 @@ fn heterogeneous_trait_objects() {
         Box::new(DurableEllenBst::<u64, u64>::new()),
         Box::new(DurableNmBst::<u64, u64>::new()),
         Box::new(DurableSkipList::<u64, u64>::new()),
-        Box::new(TmList::<u64, u64, Clwb>::new()),
+        Box::new(TmList::<u64, u64, MmapBackend>::new()),
     ];
     for s in &sets {
         assert!(s.insert(1, 10));
@@ -106,8 +105,8 @@ fn heterogeneous_trait_objects() {
 #[test]
 fn structures_can_share_one_collector() {
     let collector = Collector::new();
-    let list = HarrisList::<u64, u64, NvTraverse<Clwb>>::with_collector(collector.clone());
-    let tree = EllenBst::<u64, u64, NvTraverse<Clwb>>::with_collector(collector.clone());
+    let list = HarrisList::<u64, u64, NvTraverse<MmapBackend>>::with_collector(collector.clone());
+    let tree = EllenBst::<u64, u64, NvTraverse<MmapBackend>>::with_collector(collector.clone());
     std::thread::scope(|s| {
         s.spawn(|| {
             for k in 0..500u64 {
@@ -137,11 +136,11 @@ fn signed_key_structures_cross_check() {
         assert!(s.remove(-1));
         assert_eq!(s.len(), 4);
     }
-    check(HarrisList::<i64, u64, NvTraverse<Clwb>>::new());
-    check(EllenBst::<i64, u64, NvTraverse<Clwb>>::new());
-    check(NmBst::<i64, u64, NvTraverse<Clwb>>::new());
-    check(SkipList::<i64, u64, NvTraverse<Clwb>>::new());
-    check(HashMapDs::<i64, u64, NvTraverse<Clwb>>::new(8));
+    check(HarrisList::<i64, u64, NvTraverse<MmapBackend>>::new());
+    check(EllenBst::<i64, u64, NvTraverse<MmapBackend>>::new());
+    check(NmBst::<i64, u64, NvTraverse<MmapBackend>>::new());
+    check(SkipList::<i64, u64, NvTraverse<MmapBackend>>::new());
+    check(HashMapDs::<i64, u64, NvTraverse<MmapBackend>>::new(8));
 }
 
 #[test]
@@ -161,7 +160,7 @@ fn the_generic_driver_is_policy_agnostic() {
         out
     }
     let reference = trace::<Volatile>();
-    assert_eq!(trace::<NvTraverse<Clwb>>(), reference);
+    assert_eq!(trace::<NvTraverse<MmapBackend>>(), reference);
     assert_eq!(trace::<Izraelevitz<Noop>>(), reference);
-    assert_eq!(trace::<LinkPersist<Clwb>>(), reference);
+    assert_eq!(trace::<LinkPersist<MmapBackend>>(), reference);
 }

@@ -4,7 +4,7 @@
 //! central quantitative claim (the journey is free, the destination is a
 //! constant), pinned as a regression test per structure.
 //!
-//! Counting goes through the [`Count`] backend, whose every flush/fence is
+//! Counting goes through the [`MmapBackend`] backend, whose every flush/fence is
 //! recorded into the thread's attributed `nvtraverse-obs` metric set. The
 //! tests count with [`obs::counted`], which attributes to a **private**
 //! metric set: that is what makes the counts exact even though the test
@@ -31,7 +31,7 @@ use nvtraverse::DurableSet;
 use nvtraverse_obs as obs;
 use nvtraverse_pmem::batch::FenceBatch;
 use nvtraverse_pmem::heap::{self, AllocTarget};
-use nvtraverse_pmem::{Count, Noop, CACHE_LINE};
+use nvtraverse_pmem::{MmapBackend, CACHE_LINE};
 use nvtraverse_structures::ellen_bst::EllenBst;
 use nvtraverse_structures::hash::HashMapDs;
 use nvtraverse_structures::list::HarrisList;
@@ -44,8 +44,8 @@ use nvtraverse_structures::stack::TreiberStack;
 use std::alloc::Layout;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-type D = NvTraverse<Count<Noop>>;
-type SD = Soft<Count<Noop>>;
+type D = NvTraverse<MmapBackend>;
+type SD = Soft<MmapBackend>;
 
 /// Keys present before each measured operation (the structures should be
 /// non-trivially populated — an empty-structure op can take shortcuts).
@@ -248,7 +248,7 @@ fn detectable_delta_bounds<S: DurableSet<u64, u64>>(
     make: impl FnOnce() -> S,
     max: [(u64, u64); 3],
 ) {
-    let table: OpTable<Count<Noop>> = OpTable::new(1);
+    let table: OpTable<MmapBackend> = OpTable::new(1);
     let mut tok = table.token(0);
     let s = line_aligned(make);
     for k in 0..PREFILL {
@@ -390,7 +390,7 @@ fn batch_vs_singles<S: DurableSet<u64, u64>>(
             assert!(s.insert(k * 2, k));
         }
         counted(|| {
-            let scope = batched.then(FenceBatch::<Count<Noop>>::begin);
+            let scope = batched.then(FenceBatch::<MmapBackend>::begin);
             for i in 0..ops {
                 assert!(s.insert(101 + 2 * i, i));
             }
@@ -440,7 +440,7 @@ fn soft_batch_hits_the_one_fence_floor() {
         assert!(s.insert(k * 2, k));
     }
     let mixed = counted(|| {
-        let scope = FenceBatch::<Count<Noop>>::begin();
+        let scope = FenceBatch::<MmapBackend>::begin();
         for i in 0..B {
             assert!(s.insert(101 + 2 * i, i));
             assert_eq!(s.get(14), Some(7));
@@ -466,7 +466,7 @@ fn nvtraverse_batched_gets_share_one_fence() {
             assert!(s.insert(k * 2, k));
         }
         counted(|| {
-            let scope = FenceBatch::<Count<Noop>>::begin();
+            let scope = FenceBatch::<MmapBackend>::begin();
             for i in 0..B {
                 assert!(s.insert(101 + 2 * i, i));
                 if with_gets {
@@ -488,7 +488,7 @@ fn nvtraverse_batched_gets_share_one_fence() {
         assert!(s.insert(k * 2, k));
     }
     let gets = counted(|| {
-        let scope = FenceBatch::<Count<Noop>>::begin();
+        let scope = FenceBatch::<MmapBackend>::begin();
         for i in 0..B {
             s.get(i);
         }
@@ -516,7 +516,7 @@ fn get_during_and_after_open_insert<S: DurableSet<u64, u64>>(s: &S) -> ((u64, u6
         let (inserted, wait_inserted) = mpsc::channel();
         let (read, wait_read) = mpsc::channel::<()>();
         scope.spawn(move || {
-            let batch = FenceBatch::<Count<Noop>>::begin();
+            let batch = FenceBatch::<MmapBackend>::begin();
             assert!(s.insert(33, 33));
             inserted.send(()).unwrap();
             wait_read.recv().unwrap();

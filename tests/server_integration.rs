@@ -26,7 +26,7 @@ fn temp_paths(tag: &str) -> (PathBuf, PathBuf) {
 fn start(tag: &str, policy: PolicyKind) -> (Server, PathBuf, PathBuf) {
     let (dir, sock) = temp_paths(tag);
     let store = KvStore::create(&dir, policy, SHARDS, SHARD_CAP).unwrap();
-    let server = Server::start_uds(&sock, store, ServerConfig { workers: 2, ..Default::default() })
+    let server = Server::start_uds(&sock, store, ServerConfig { workers: 2 })
         .unwrap();
     (server, dir, sock)
 }
