@@ -62,27 +62,6 @@ pub trait DurableSet<K, V>: Send + Sync {
     /// Returns the value associated with `key`, if any.
     fn get(&self, key: K) -> Option<V>;
 
-    /// [`insert`](Self::insert), with the call's latency recorded into the
-    /// thread's current observability target (see
-    /// `nvtraverse_obs::attribute_to`) as an
-    /// [`Insert`](nvtraverse_obs::OpKind::Insert) sample. Identical to plain
-    /// `insert` when recording is disabled or no target is attributed.
-    fn timed_insert(&self, key: K, value: V) -> bool {
-        nvtraverse_obs::timed(nvtraverse_obs::OpKind::Insert, || self.insert(key, value))
-    }
-
-    /// [`remove`](Self::remove), recorded as a
-    /// [`Remove`](nvtraverse_obs::OpKind::Remove) latency sample.
-    fn timed_remove(&self, key: K) -> bool {
-        nvtraverse_obs::timed(nvtraverse_obs::OpKind::Remove, || self.remove(key))
-    }
-
-    /// [`get`](Self::get), recorded as a
-    /// [`Get`](nvtraverse_obs::OpKind::Get) latency sample.
-    fn timed_get(&self, key: K) -> Option<V> {
-        nvtraverse_obs::timed(nvtraverse_obs::OpKind::Get, || self.get(key))
-    }
-
     /// Returns whether `key` is present.
     fn contains(&self, key: K) -> bool {
         self.get(key).is_some()

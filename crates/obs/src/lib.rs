@@ -9,9 +9,8 @@
 //!
 //! * [`MetricSet`] — a sharded, cache-padded set of relaxed [`AtomicU64`]
 //!   counters (flushes and fences **per phase**, allocator-tier counters,
-//!   GC counters) plus log-bucketed operation-latency histograms. One shard
-//!   per allocator-engine shard, so recording never contends across
-//!   threads; reading sums the shards.
+//!   GC counters). One shard per allocator-engine shard, so recording never
+//!   contends across threads; reading sums the shards.
 //! * **Attribution** — recording is routed through a thread-local
 //!   *(target, phase)* pair: [`attribute_to`] aims subsequent
 //!   flushes/fences at one pool's metric set, [`phase`] tags them with the
@@ -204,39 +203,6 @@ impl Counter {
     }
 }
 
-/// Operation kinds with latency histograms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum OpKind {
-    /// `insert` (and push/enqueue).
-    Insert = 0,
-    /// `remove` (and pop/dequeue).
-    Remove = 1,
-    /// `get`/`contains` (read-only).
-    Get = 2,
-}
-
-/// Number of [`OpKind`] variants.
-pub const NUM_OPS: usize = 3;
-
-/// Log2 buckets per latency histogram: bucket `i` counts samples with
-/// `nanos` in `[2^i, 2^(i+1))` (bucket 0 additionally catches 0 ns).
-pub const HIST_BUCKETS: usize = 64;
-
-impl OpKind {
-    /// Every op kind, in discriminant order.
-    pub const ALL: [OpKind; NUM_OPS] = [OpKind::Insert, OpKind::Remove, OpKind::Get];
-
-    /// Stable lowercase name (JSON keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            OpKind::Insert => "insert",
-            OpKind::Remove => "remove",
-            OpKind::Get => "get",
-        }
-    }
-}
-
 /// Whether telemetry recording is on. Decided once, at the first check,
 /// from the `NVT_OBS` environment variable: `off` or `0` disables every
 /// hook (they reduce to this one branch); anything else — including the
@@ -262,27 +228,6 @@ struct Shard {
     counters: [AtomicU64; NUM_COUNTERS],
 }
 
-/// One log2-bucketed latency histogram (cold path: bench harnesses and the
-/// `DurableSet` timed wrappers record here, not structure hot loops, so the
-/// buckets are shared rather than sharded).
-#[derive(Debug)]
-struct Hist {
-    buckets: [AtomicU64; HIST_BUCKETS],
-}
-
-impl Default for Hist {
-    fn default() -> Self {
-        Hist {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// The index of the histogram bucket for a sample of `nanos`.
-fn bucket_of(nanos: u64) -> usize {
-    (63 - nanos.max(1).leading_zeros()) as usize
-}
-
 /// A sharded metric set — the unit of attribution (one per pool, plus
 /// standalone sets for tests). Recording picks a shard from a thread-local
 /// round-robin assignment and does one relaxed `fetch_add`; reading
@@ -290,7 +235,6 @@ fn bucket_of(nanos: u64) -> usize {
 #[derive(Debug)]
 pub struct MetricSet {
     shards: Box<[CachePadded<Shard>]>,
-    hist: [Hist; NUM_OPS],
 }
 
 /// The shard a thread records into: assigned round-robin at first use so
@@ -312,7 +256,6 @@ impl MetricSet {
             shards: (0..shards.max(1))
                 .map(|_| CachePadded::new(Shard::default()))
                 .collect(),
-            hist: std::array::from_fn(|_| Hist::default()),
         }
     }
 
@@ -347,14 +290,6 @@ impl MetricSet {
         }
     }
 
-    /// Records one `op` sample of `nanos` into its latency histogram.
-    #[inline]
-    pub fn record_latency(&self, op: OpKind, nanos: u64) {
-        if enabled() {
-            self.hist[op as usize].buckets[bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Copies the current totals out (sums all shards, relaxed loads — a
     /// concurrent-recording snapshot is a transient but never torn view).
     pub fn snapshot(&self) -> Snapshot {
@@ -369,11 +304,6 @@ impl MetricSet {
                     s.counters[c].wrapping_add(shard.counters[c].load(Ordering::Relaxed));
             }
         }
-        for (op, hist) in self.hist.iter().enumerate() {
-            for (b, bucket) in hist.buckets.iter().enumerate() {
-                s.hist[op][b] = bucket.load(Ordering::Relaxed);
-            }
-        }
         s
     }
 }
@@ -381,7 +311,7 @@ impl MetricSet {
 /// A point-in-time copy of a [`MetricSet`]'s totals. Take one before and
 /// one after the measured region and diff with [`Snapshot::since`] — the
 /// race-free replacement for resetting global counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Flush count per [`Phase`] (indexed by discriminant).
     pub flushes: [u64; NUM_PHASES],
@@ -389,19 +319,6 @@ pub struct Snapshot {
     pub fences: [u64; NUM_PHASES],
     /// Event counters, indexed by [`Counter`] discriminant.
     pub counters: [u64; NUM_COUNTERS],
-    /// Latency histograms: `hist[op][bucket]` samples, log2-ns buckets.
-    pub hist: [[u64; HIST_BUCKETS]; NUM_OPS],
-}
-
-impl Default for Snapshot {
-    fn default() -> Self {
-        Snapshot {
-            flushes: [0; NUM_PHASES],
-            fences: [0; NUM_PHASES],
-            counters: [0; NUM_COUNTERS],
-            hist: [[0; HIST_BUCKETS]; NUM_OPS],
-        }
-    }
 }
 
 impl Snapshot {
@@ -415,11 +332,6 @@ impl Snapshot {
         for c in 0..NUM_COUNTERS {
             d.counters[c] = self.counters[c].wrapping_sub(earlier.counters[c]);
         }
-        for op in 0..NUM_OPS {
-            for b in 0..HIST_BUCKETS {
-                d.hist[op][b] = self.hist[op][b].wrapping_sub(earlier.hist[op][b]);
-            }
-        }
         d
     }
 
@@ -431,11 +343,6 @@ impl Snapshot {
         }
         for c in 0..NUM_COUNTERS {
             self.counters[c] = self.counters[c].wrapping_add(other.counters[c]);
-        }
-        for op in 0..NUM_OPS {
-            for b in 0..HIST_BUCKETS {
-                self.hist[op][b] = self.hist[op][b].wrapping_add(other.hist[op][b]);
-            }
         }
     }
 
@@ -454,34 +361,9 @@ impl Snapshot {
         self.counters[c as usize]
     }
 
-    /// Total latency samples recorded for `op`.
-    pub fn samples(&self, op: OpKind) -> u64 {
-        self.hist[op as usize].iter().sum()
-    }
-
-    /// An upper bound (bucket ceiling, in nanoseconds) on the `q`-quantile
-    /// of `op`'s latency, or `None` when no samples were recorded. `q` is
-    /// clamped to `0.0..=1.0`.
-    pub fn quantile_ns(&self, op: OpKind, q: f64) -> Option<u64> {
-        let total = self.samples(op);
-        if total == 0 {
-            return None;
-        }
-        let rank = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (b, &count) in self.hist[op as usize].iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Some(if b >= 63 { u64::MAX } else { 2u64 << b });
-            }
-        }
-        Some(u64::MAX)
-    }
-
     /// Serializes the snapshot as one JSON object with `persist` (per-phase
-    /// flushes/fences), `alloc`, `gc` (event counters by domain), and
-    /// `latency` (non-empty histograms as `[bucket_ceiling_ns, count]`
-    /// pairs) sections.
+    /// flushes/fences), `alloc` and `gc` (event counters by domain)
+    /// sections.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\"persist\":{");
@@ -501,9 +383,9 @@ impl Snapshot {
             self.total_flushes(),
             self.total_fences()
         ));
-        out.push_str("},");
+        out.push('}');
         for domain in ["alloc", "gc"] {
-            out.push_str(&format!("\"{domain}\":{{"));
+            out.push_str(&format!(",\"{domain}\":{{"));
             let mut first = true;
             for c in Counter::ALL {
                 if c.domain() != domain {
@@ -515,29 +397,9 @@ impl Snapshot {
                 first = false;
                 out.push_str(&format!("\"{}\":{}", c.name(), self.counter(c)));
             }
-            out.push_str("},");
+            out.push('}');
         }
-        out.push_str("\"latency\":{");
-        for (i, op) in OpKind::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":[", op.name()));
-            let mut first = true;
-            for (b, &count) in self.hist[*op as usize].iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let ceiling = if b >= 63 { u64::MAX } else { 2u64 << b };
-                out.push_str(&format!("[{ceiling},{count}]"));
-            }
-            out.push(']');
-        }
-        out.push_str("}}");
+        out.push('}');
         out
     }
 }
@@ -798,20 +660,6 @@ pub fn counted<R>(f: impl FnOnce() -> R) -> (Counts, R) {
     (counts, r)
 }
 
-/// Times `f` and records the sample into this thread's target set as `op`
-/// latency. Runs `f` untimed when recording is disabled or unattributed.
-pub fn timed<R>(op: OpKind, f: impl FnOnce() -> R) -> R {
-    match current_target() {
-        Some(set) if enabled() => {
-            let start = std::time::Instant::now();
-            let r = f();
-            set.record_latency(op, start.elapsed().as_nanos() as u64);
-            r
-        }
-        _ => f(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,23 +698,18 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_histograms_round_trip_json() {
+    fn counters_round_trip_json() {
         let set = MetricSet::new(2);
         set.add(Counter::MagHit, 10);
         set.add(Counter::GcSwept, 3);
-        set.record_latency(OpKind::Insert, 100);
-        set.record_latency(OpKind::Insert, 100_000);
         let s = set.snapshot();
         assert_eq!(s.counter(Counter::MagHit), 10);
         assert_eq!(s.counter(Counter::GcSwept), 3);
-        assert_eq!(s.samples(OpKind::Insert), 2);
-        assert!(s.quantile_ns(OpKind::Insert, 0.5).unwrap() >= 100);
-        assert!(s.quantile_ns(OpKind::Insert, 0.99).unwrap() >= 100_000);
-        assert_eq!(s.quantile_ns(OpKind::Get, 0.5), None);
         let json = s.to_json();
         assert!(json.contains("\"mag_hit\":10"), "{json}");
         assert!(json.contains("\"gc_swept\":3"), "{json}");
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        assert!(json.starts_with("{\"persist\":{") && json.ends_with("}}"), "{json}");
+        assert!(!json.contains(",}") && !json.contains("{,"), "{json}");
     }
 
     #[test]
@@ -911,15 +754,5 @@ mod tests {
         });
         assert_eq!(inner, Counts { flushes: 1, fences: 0 });
         assert_eq!(outer, Counts { flushes: 1, fences: 1 });
-    }
-
-    #[test]
-    fn bucket_of_is_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(1024), 10);
-        assert_eq!(bucket_of(u64::MAX), 63);
     }
 }

@@ -12,15 +12,14 @@
 //!   only offset-based access may use.
 //! * A **scalable recoverable allocator** — size-classed blocks with a
 //!   persistent 16-byte header each (size, class, allocated bit) and a
-//!   persisted heap frontier. The default [`AllocMode::LockFree`] engine
-//!   serves the hot path from per-thread magazines backed by sharded
-//!   lock-free free lists and a CAS-carved slab frontier (see the private
-//!   `engine` module's docs for the full design); [`AllocMode::Mutexed`] keeps the
-//!   original global-mutex allocator as a measurable baseline. Either way
-//!   the persist ordering guarantees that **no crash point corrupts the
-//!   heap**: a crash never double-allocates or tears metadata, and blocks
-//!   it strands (in-flight allocations, EBR-retired-but-unreclaimed nodes)
-//!   stay allocated only until the next open — reopening rebuilds all
+//!   persisted heap frontier. The engine serves the hot path from
+//!   per-thread magazines backed by sharded lock-free free lists and a
+//!   CAS-carved slab frontier (see the private `engine` module's docs for
+//!   the full design). Its persist ordering guarantees that **no crash
+//!   point corrupts the heap**: a crash never double-allocates or tears
+//!   metadata, and blocks it strands (in-flight allocations,
+//!   EBR-retired-but-unreclaimed nodes) stay allocated only until the next
+//!   open — reopening rebuilds all
 //!   volatile free-list state from a full heap walk and then runs a
 //!   **root-driven mark-sweep GC** (the [`gc`] module) that returns every
 //!   allocated block unreachable from the registered roots to the free
@@ -36,18 +35,18 @@
 //! protocol, and the correct one on a DAX NVRAM mapping) with an `msync`
 //! fallback for targets or deployments that need it.
 //!
-//! # Durability contract of the lock-free engine
+//! # Durability contract of the allocator
 //!
-//! Under [`AllocMode::LockFree`], [`Pool::alloc`] and [`Pool::dealloc`] do
-//! not fence, and the allocated header usually shares its cache line with
-//! the payload's first bytes, whose flush is the caller's job anyway. The
-//! contract: **flush the first line of the block's contents and fence
-//! before durably publishing the block** — which every durability policy in
-//! this repository already does between initializing a node and the CAS
-//! that links it (`flush_range(node)` + fence). A caller that skips it
-//! risks (only) recovering the block as free after a power failure —
-//! exactly as if the allocation had never durably happened, the correct
-//! outcome for data that was itself not yet persistent. See the `engine`
+//! [`Pool::alloc`] and [`Pool::dealloc`] do not fence, and the allocated
+//! header usually shares its cache line with the payload's first bytes,
+//! whose flush is the caller's job anyway. The contract: **flush the first
+//! line of the block's contents and fence before durably publishing the
+//! block** — which every durability policy in this repository already does
+//! between initializing a node and the CAS that links it
+//! (`flush_range(node)` + fence). A caller that skips it risks (only)
+//! recovering the block as free after a power failure — exactly as if the
+//! allocation had never durably happened, the correct outcome for data
+//! that was itself not yet persistent. See the `engine`
 //! module docs for the full deferred-persistence design and its bounded
 //! leak-on-power-failure trade-offs.
 //!
@@ -89,7 +88,6 @@ mod mmap;
 pub mod optable;
 mod poff;
 
-pub use engine::AllocMode;
 pub use gc::{register_tracer, unregister_tracer, Marker, TraceFn};
 pub use optable::{OpId, OpOutcome, RawOp, OPS_ROOT};
 pub use poff::POff;
@@ -116,7 +114,7 @@ pub const MAX_ROOT_NAME: usize = 24;
 /// Smallest capacity [`PoolBuilder::create`] accepts.
 pub const MIN_CAPACITY: u64 = 64 * 1024;
 /// Largest capacity [`PoolBuilder::create`] accepts (block offsets must fit the
-/// 40-bit offset field of the lock-free engine's tagged free-list heads).
+/// 40-bit offset field of the engine's tagged free-list heads).
 pub const MAX_CAPACITY: u64 = 1 << 40;
 
 /// First heap byte: everything below is the pool header page.
@@ -237,9 +235,9 @@ pub struct HeapReport {
 }
 
 /// The raw mapped region: base, length, and word-granular accessors. `Copy`
-/// so the allocation engines can take it by value without borrowing `Inner`.
+/// so the allocation engine can take it by value without borrowing `Inner`.
 ///
-/// All word access goes through relaxed atomics: the lock-free engine reads
+/// All word access goes through relaxed atomics: the engine reads
 /// and writes free-list link words from many threads concurrently, and
 /// mapped memory is ordinary memory as far as the Rust memory model cares.
 #[derive(Clone, Copy)]
@@ -267,7 +265,7 @@ impl Mem {
     pub(crate) fn au64(&self, off: u64) -> &AtomicU64 {
         debug_assert!(off.is_multiple_of(8) && (off as usize) + 8 <= self.len);
         // SAFETY: the mapping outlives every Mem user (Inner unmaps only
-        // after engines and the heap registry are torn down), and the
+        // after the engine and the heap registry are torn down), and the
         // address is valid, aligned shared memory.
         unsafe { AtomicU64::from_ptr(self.ptr(off) as *mut u64) }
     }
@@ -293,7 +291,7 @@ impl Mem {
     }
 }
 
-/// Writes an allocated block header (stores only — each engine decides how
+/// Writes an allocated block header (stores only — the engine decides how
 /// and when the header reaches persistence; see `engine`). The header is 16
 /// bytes at 16-byte alignment, so it never straddles a cache line: a single
 /// flush of `off`'s line always covers it.
@@ -340,7 +338,7 @@ struct Inner {
 }
 
 // SAFETY: the mapping is plain shared memory; mutation happens through the
-// engines' lock-free/locked protocols or ordered root-slot publication.
+// engine's lock-free protocols or ordered root-slot publication.
 unsafe impl Send for Inner {}
 unsafe impl Sync for Inner {}
 
@@ -358,26 +356,22 @@ impl fmt::Debug for Pool {
             .field("base", &format_args!("{:#x}", self.inner.mem.base()))
             .field("capacity", &self.inner.mem.len())
             .field("rebased", &self.inner.rebased)
-            .field("mode", &self.inner.engine.mode())
             .finish()
     }
 }
 
 /// Builder for opening or creating a [`Pool`] — the one constructor
-/// surface (`Pool::builder().path(…).capacity(…).mode(…)` then
+/// surface (`Pool::builder().path(…).capacity(…)` then
 /// [`create`](PoolBuilder::create) / [`open`](PoolBuilder::open) /
 /// [`open_or_create`](PoolBuilder::open_or_create)).
 ///
 /// * `path` — required for every terminal method.
 /// * `capacity` — required by `create` and `open_or_create`; ignored by
 ///   `open` (the file dictates it).
-/// * `mode` — the volatile [`AllocMode`] choice, default
-///   [`AllocMode::LockFree`].
 #[derive(Debug, Clone, Default)]
 pub struct PoolBuilder {
     path: Option<PathBuf>,
     capacity: Option<u64>,
-    mode: AllocMode,
 }
 
 impl PoolBuilder {
@@ -392,13 +386,6 @@ impl PoolBuilder {
     /// [`open_or_create`](PoolBuilder::open_or_create)).
     pub fn capacity(mut self, bytes: u64) -> Self {
         self.capacity = Some(bytes);
-        self
-    }
-
-    /// Selects the allocation engine (volatile, per-open; default
-    /// [`AllocMode::LockFree`]).
-    pub fn mode(mut self, mode: AllocMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -425,7 +412,7 @@ impl PoolBuilder {
     /// capacity is outside [`MIN_CAPACITY`]`..=`[`MAX_CAPACITY`], or
     /// mapping fails.
     pub fn create(self) -> io::Result<Pool> {
-        Pool::create_impl(self.want_path()?, self.want_capacity()?, self.mode)
+        Pool::create_impl(self.want_path()?, self.want_capacity()?)
     }
 
     /// Opens the existing pool file, verifies its header, and rebuilds the
@@ -444,7 +431,7 @@ impl PoolBuilder {
     /// Fails if `path` is unset or missing, on bad magic/version/capacity,
     /// or heap metadata that does not verify.
     pub fn open(self) -> io::Result<Pool> {
-        Pool::open_impl(self.want_path()?, self.mode)
+        Pool::open_impl(self.want_path()?)
     }
 
     /// [`open`](PoolBuilder::open), but with a bounded wait for the pool
@@ -465,7 +452,7 @@ impl PoolBuilder {
         let path = self.want_path()?.to_path_buf();
         let attempts = attempts.max(1);
         for attempt in 1..=attempts {
-            match Pool::open_impl(&path, self.mode) {
+            match Pool::open_impl(&path) {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock && attempt < attempts => {
                     std::thread::sleep(delay);
                 }
@@ -496,11 +483,11 @@ impl PoolBuilder {
         let path = self.want_path()?;
         if path.exists() {
             if unlink_if_never_completed(path)? {
-                return Pool::create_impl(path, self.want_capacity()?, self.mode);
+                return Pool::create_impl(path, self.want_capacity()?);
             }
-            Pool::open_impl(path, self.mode)
+            Pool::open_impl(path)
         } else {
-            Pool::create_impl(path, self.want_capacity()?, self.mode)
+            Pool::create_impl(path, self.want_capacity()?)
         }
     }
 }
@@ -511,7 +498,7 @@ impl Pool {
         PoolBuilder::default()
     }
 
-    fn create_impl(path: &Path, capacity: u64, mode: AllocMode) -> io::Result<Pool> {
+    fn create_impl(path: &Path, capacity: u64) -> io::Result<Pool> {
         if capacity < MIN_CAPACITY {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -532,10 +519,10 @@ impl Pool {
         lock_pool_file(&file, path)?;
         verify_same_inode(&file, path)?;
         file.set_len(capacity)?;
-        // A deterministic per-path hint keeps distinct pools apart while
-        // giving the same pool the same base on every run of a program.
-        let hint = mmap::base_hint(path);
-        let base = mmap::map_shared(&file, capacity as usize, Some(hint), false)?;
+        // A deterministic per-path arena slot keeps distinct pools apart
+        // while giving the same pool the same base on every run of a
+        // program; never a kernel-chosen base (see `mmap::map_in_arena`).
+        let base = mmap::map_in_arena(&file, capacity as usize, path)?;
         // Register with the msync fallback *before* the first header persist:
         // on targets without a flush instruction, persistence IS the msync of
         // registered regions, and an unregistered header write would not be
@@ -553,7 +540,7 @@ impl Pool {
             _file: file,
             rebased: false,
             ready: false,
-            engine: Engine::new(mode, metrics),
+            engine: Engine::new(metrics),
             roots: Mutex::new(()),
             report: Mutex::new(RecoveryReport {
                 heap_bytes: 0,
@@ -585,7 +572,7 @@ impl Pool {
         Ok(Pool::finish_open(inner))
     }
 
-    fn open_impl(path: &Path, mode: AllocMode) -> io::Result<Pool> {
+    fn open_impl(path: &Path) -> io::Result<Pool> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         lock_pool_file(&file, path)?;
         let file_len = file.metadata()?.len();
@@ -642,7 +629,7 @@ impl Pool {
             _file: file,
             rebased,
             ready: false,
-            engine: Engine::new(mode, metrics),
+            engine: Engine::new(metrics),
             roots: Mutex::new(()),
             report: Mutex::new(RecoveryReport::default()),
             gc_pending: AtomicBool::new(false),
@@ -734,11 +721,6 @@ impl Pool {
         &self.inner.path
     }
 
-    /// Which allocation engine this handle runs.
-    pub fn alloc_mode(&self) -> AllocMode {
-        self.inner.engine.mode()
-    }
-
     /// `true` when the pool could not be mapped at its recorded base, so
     /// absolute pointers stored inside it are invalid. Structures with
     /// embedded pointers must refuse to attach; offset-based access
@@ -759,19 +741,18 @@ impl Pool {
     }
 
     /// This pool's telemetry set (`nvtraverse-obs`): per-phase flush/fence
-    /// counts, allocator-tier counters, GC counters, and latency
-    /// histograms. The set is keyed by the pool's normalized path, so it
-    /// survives close/reopen cycles and accumulates across them; measure
-    /// regions with [`nvtraverse_obs::MetricSet::snapshot`] deltas.
+    /// counts, allocator-tier counters and GC counters. The set is keyed by
+    /// the pool's normalized path, so it survives close/reopen cycles and
+    /// accumulates across them; measure regions with
+    /// [`nvtraverse_obs::MetricSet::snapshot`] deltas.
     pub fn metrics(&self) -> &'static obs::MetricSet {
         self.inner.metrics
     }
 
     /// The number of lock-free free-list shards per size class this
     /// handle's engine runs (derived from
-    /// [`std::thread::available_parallelism`] at open; volatile rebuild
-    /// state, nothing persisted). `1` under [`AllocMode::Mutexed`] — the
-    /// baseline engine has a single lock, not shards.
+    /// [`std::thread::available_parallelism`] at open, capped at 64;
+    /// volatile rebuild state, nothing persisted).
     pub fn shard_count(&self) -> usize {
         self.inner.engine.shard_count()
     }
@@ -810,9 +791,10 @@ impl Pool {
     /// Allocates `size` bytes with `align`ment from the pool.
     ///
     /// Returns `None` when the pool is exhausted or `align` exceeds the
-    /// pool's 16-byte block alignment. The block's header is written and
-    /// flushed before the pointer is returned; under the lock-free engine
-    /// the ordering fence is deferred to the caller's own pre-publication
+    /// pool's 16-byte block alignment. The block's header is written before
+    /// the pointer is returned and flushed only when it has a cache line to
+    /// itself (otherwise the caller's flush of the payload's first line
+    /// covers it); the ordering fence is the caller's own pre-publication
     /// fence (see the crate docs), so a crash can never corrupt the heap or
     /// lose a durably published block — an in-flight block stays allocated
     /// until the next open's recovery GC proves it unreachable and sweeps
@@ -1130,7 +1112,7 @@ impl Pool {
         let mut off = HEAP_START;
         while off < frontier {
             // Headers were validated at open and only mutated by the
-            // engines since; a failure here would be memory corruption.
+            // engine since; a failure here would be memory corruption.
             let Ok((size, class, allocated)) =
                 check_block_header(inner.mem.load(off), off, frontier)
             else {
@@ -1498,7 +1480,7 @@ impl Inner {
 
     /// The deferred variant of [`Inner::recovery_gc`], run after the engine
     /// is already rebuilt (see [`Pool::run_pending_gc`]): same mark phase,
-    /// but swept blocks return through [`Engine::dealloc`] — each engine's
+    /// but swept blocks return through [`Engine::dealloc`] — the engine's
     /// own free-path persistence discipline — instead of the rebuild's free
     /// list. Folds the reclaim into the existing `report`.
     fn deferred_gc(

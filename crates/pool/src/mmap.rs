@@ -143,6 +143,28 @@ mod sys {
     pub fn reserve_anon_at(_addr: usize, _len: usize) -> bool {
         false
     }
+
+    /// Maps an anonymous PROT_NONE region wherever the kernel chooses —
+    /// used by tests to take whatever range the kernel hands out next.
+    #[cfg(all(test, target_os = "linux"))]
+    pub fn map_anon(len: usize) -> usize {
+        const PROT_NONE: c_int = 0;
+        const MAP_PRIVATE: c_int = 0x02;
+        const MAP_ANONYMOUS: c_int = 0x20;
+        // SAFETY: a fresh kernel-placed anonymous mapping aliases nothing.
+        let p = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_NONE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        } as usize;
+        assert_ne!(p, MAP_FAILED, "anonymous mmap failed");
+        p
+    }
 }
 
 #[cfg(not(all(unix, target_pointer_width = "64")))]
@@ -217,23 +239,74 @@ pub fn reserve_anon_at(addr: usize, len: usize) -> bool {
     sys::reserve_anon_at(addr, len)
 }
 
-/// Deterministic per-path mapping hint.
-///
-/// Spreads pools across a ~1 TiB arena far from the default mmap area, in
-/// 16 GiB steps, so (a) the same pool file gets the same base in every
-/// process that creates it, and (b) two different pools rarely collide. A
-/// collision is not fatal — the kernel then picks another base and `open`
-/// later treats the recorded one as preferred.
-pub fn base_hint(path: &Path) -> usize {
+/// Test hook: an anonymous `len`-byte mapping at a kernel-chosen address.
+#[cfg(all(test, target_os = "linux"))]
+pub fn map_anon(len: usize) -> usize {
+    sys::map_anon(len)
+}
+
+/// First byte of the pool arena: 32 TiB. On x86-64 Linux this is far below
+/// the randomized mmap area (just under 128 TiB, growing down) and the PIE
+/// and `brk` heap (around 85 TiB), and above the shadow ranges sanitizers
+/// reserve (AddressSanitizer's ends just past 16 TiB), so nothing the
+/// kernel places on its own lands in it.
+const ARENA: usize = 0x2000_0000_0000;
+/// Pool slots in the arena.
+const SLOTS: usize = 64;
+/// Bytes between slot bases.
+const STEP: usize = 16 << 30;
+
+/// Whether `base` lies inside the pool arena.
+#[cfg(all(test, target_os = "linux"))]
+pub fn in_arena(base: usize) -> bool {
+    (ARENA..ARENA + SLOTS * STEP).contains(&base)
+}
+
+/// FNV-1a of the path, reduced to an arena slot index.
+fn slot_of(path: &Path) -> usize {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for b in path.as_os_str().as_encoded_bytes() {
         h ^= *b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    const ARENA: usize = 0x7E00_0000_0000;
-    const SLOTS: u64 = 64;
-    const STEP: usize = 16 << 30;
-    ARENA + (h % SLOTS) as usize * STEP
+    (h % SLOTS as u64) as usize
+}
+
+/// The base of the path's hashed arena slot, where [`map_in_arena`] tries
+/// first: the same pool file gets the same base in every process that
+/// creates it, and two different pools rarely share a slot.
+#[cfg(test)]
+pub fn base_hint(path: &Path) -> usize {
+    ARENA + slot_of(path) * STEP
+}
+
+/// Maps `len` bytes of `file` at the first free arena slot, trying the
+/// path's hashed slot first and then the following ones in order,
+/// wrapping. Every attempt is exact (`MAP_FIXED_NOREPLACE`), so the
+/// pool never gets a kernel-chosen base that a later mapping in the same
+/// process could take before a reopen.
+///
+/// # Errors
+///
+/// `AddrInUse` when every slot is taken; any other `mmap` failure as is.
+pub fn map_in_arena(file: &File, len: usize, path: &Path) -> io::Result<usize> {
+    let first = slot_of(path);
+    for i in 0..SLOTS {
+        let base = ARENA + (first + i) % SLOTS * STEP;
+        let err = match map_shared(file, len, Some(base), true) {
+            Ok(b) => return Ok(b),
+            Err(e) => e,
+        };
+        // EEXIST from MAP_FIXED_NOREPLACE, or `AddrInUse` where the kernel
+        // treated the address as a hint: the slot is taken, try the next.
+        if !matches!(err.kind(), io::ErrorKind::AlreadyExists | io::ErrorKind::AddrInUse) {
+            return Err(err);
+        }
+    }
+    Err(io::Error::new(
+        io::ErrorKind::AddrInUse,
+        format!("no free pool arena slot for {len} bytes (all {SLOTS} taken)"),
+    ))
 }
 
 #[cfg(test)]

@@ -340,6 +340,44 @@ fn occupied_preferred_base_forces_rebased_open() {
     cleanup(&path);
 }
 
+/// A pool whose hashed arena slot is taken at create must still reopen at
+/// its recorded base in the same process, even after unrelated memory of
+/// the same size was mapped in between: create takes the next free arena
+/// slot rather than a kernel-chosen base the next mapping could reuse.
+#[cfg(target_os = "linux")]
+#[test]
+fn taken_hint_slot_still_reopens_unrebased_in_process() {
+    let path = tmp("slot-taken");
+    let cap = 1usize << 20;
+    let hint = mmap::base_hint(&path);
+    // Squat on the hashed slot, as a library or heap mapping can at startup.
+    let squatted = mmap::reserve_anon_at(hint, cap);
+    let base1 = {
+        let pool = Pool::builder().path(&path).capacity(cap as u64).create().unwrap();
+        pool.set_root_offset("r", 4242).unwrap();
+        pool.base()
+    };
+    let other = mmap::map_anon(cap);
+    let pool = Pool::builder().path(&path).open().unwrap();
+    assert!(
+        !pool.is_rebased(),
+        "created at {base1:#x}, reopened rebased at {:#x} (unrelated mapping at {other:#x})",
+        pool.base()
+    );
+    assert_eq!(pool.base(), base1);
+    assert!(mmap::in_arena(base1), "pool placed outside the arena at {base1:#x}");
+    if squatted {
+        assert_ne!(base1, hint, "created on top of the reserved slot");
+    }
+    assert_eq!(pool.root_offset("r"), Some(4242));
+    drop(pool);
+    mmap::unmap(other, cap);
+    if squatted {
+        mmap::unmap(hint, cap);
+    }
+    cleanup(&path);
+}
+
 #[test]
 fn same_base_on_clean_reopen() {
     let path = tmp("samebase");
@@ -390,41 +428,6 @@ fn scoped_target_routes_heap_allocate() {
 }
 
 #[test]
-fn mutexed_mode_roundtrip_and_cross_mode_open() {
-    let path = tmp("mutexed");
-    let off_keep;
-    {
-        let pool = Pool::builder().path(&path).capacity(1 << 20).mode(AllocMode::Mutexed).create().unwrap();
-        assert_eq!(pool.alloc_mode(), AllocMode::Mutexed);
-        let keep = pool.alloc(64, 8).unwrap();
-        unsafe { (keep as *mut u64).write(0xC0FF_EE00) };
-        nvtraverse_pmem::MmapBackend::flush(keep);
-        nvtraverse_pmem::MmapBackend::fence();
-        off_keep = pool.offset_of(keep as *const u8);
-        let freed = pool.alloc(200, 8).unwrap();
-        unsafe { pool.dealloc(freed) };
-        pool.set_root_offset("keep", off_keep).unwrap();
-        pool.verify_heap().unwrap();
-    }
-    // Same file, opposite engine: the persistent format is engine-agnostic.
-    {
-        let pool = Pool::builder().path(&path).mode(AllocMode::LockFree).open().unwrap();
-        assert_eq!(pool.alloc_mode(), AllocMode::LockFree);
-        assert_eq!(pool.root_offset("keep"), Some(off_keep));
-        assert_eq!(unsafe { (pool.at(off_keep) as *const u64).read() }, 0xC0FF_EE00);
-        let p = pool.alloc(100, 8).unwrap();
-        unsafe { pool.dealloc(p) };
-        pool.verify_heap().unwrap();
-    }
-    // And back again.
-    let pool = Pool::builder().path(&path).mode(AllocMode::Mutexed).open().unwrap();
-    assert_eq!(pool.root_offset("keep"), Some(off_keep));
-    pool.verify_heap().unwrap();
-    drop(pool);
-    cleanup(&path);
-}
-
-#[test]
 fn remote_frees_are_reusable_without_fresh_carving() {
     // Blocks allocated here, freed on another thread: the freeing thread's
     // magazines must drain back to the shards when it exits, so this thread
@@ -464,7 +467,7 @@ fn remote_frees_are_reusable_without_fresh_carving() {
 fn mixed_class_concurrent_churn_with_oversize() {
     // All three tiers under concurrency: magazines (small classes),
     // shard stacks (cross-thread frees), the slab frontier, and the
-    // mutexed oversize path.
+    // locked oversize list.
     let path = tmp("mixed-churn");
     let pool = Pool::builder().path(&path).capacity(64 << 20).create().unwrap();
     std::thread::scope(|s| {
@@ -577,9 +580,6 @@ fn shard_count_is_derived_from_parallelism() {
         .clamp(1, 64);
     assert_eq!(pool.shard_count(), want);
     assert!(pool.shard_count().is_power_of_two());
-    drop(pool);
-    let pool = Pool::builder().path(&path).mode(AllocMode::Mutexed).open().unwrap();
-    assert_eq!(pool.shard_count(), 1, "the single-lock baseline has no shards");
     drop(pool);
     cleanup(&path);
 }

@@ -337,15 +337,14 @@ impl<S: PoolAttach> ShardedSet<S> {
     }
 
     /// One metrics snapshot per shard pool, in shard order — each shard's
-    /// flush/fence attribution, allocator counters, and latency histograms
-    /// are as independent as its allocator and recovery are.
+    /// flush/fence attribution and allocator and GC counters are as
+    /// independent as its allocator and recovery are.
     pub fn metrics_snapshots(&self) -> Vec<nvtraverse_obs::Snapshot> {
         self.shards.iter().map(|s| s.pool().metrics().snapshot()).collect()
     }
 
     /// All shards' metrics merged into a single [`nvtraverse_obs::Snapshot`]
-    /// — the logical set's aggregate view (counters sum; histograms merge
-    /// bucket-wise, so quantiles stay meaningful).
+    /// — the logical set's aggregate view (every counter sums).
     pub fn metrics_snapshot(&self) -> nvtraverse_obs::Snapshot {
         let mut total = nvtraverse_obs::Snapshot::default();
         for s in self.shards.iter() {

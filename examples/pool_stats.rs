@@ -8,7 +8,7 @@
 //! **Stdout carries exactly one JSON document** (`nvtraverse-obs`'s
 //! [`stats_json`](nvtraverse_suite::obs::stats_json): one entry per pool the
 //! process touched — flush/fence counts split by phase, allocator and GC
-//! counters, op-latency histograms — plus the recent lifecycle event ring).
+//! counters — plus the recent lifecycle event ring).
 //! All narration goes to stderr, so the output pipes straight into `jq` or
 //! `python3 -m json.tool`. CI runs it exactly that way as a smoke test.
 //!
@@ -42,19 +42,18 @@ fn main() {
 
     // Attribute this thread's flushes/fences to the busy pool for the
     // workload (the structure's own scopes cover allocation; the explicit
-    // bracket also catches lookups), and record per-op latencies through
-    // the timed_* wrappers.
+    // bracket also catches lookups).
     {
         let _scope = obs::attribute_to(Some(pool.metrics()));
         for k in 0..KEYS {
-            list.timed_insert(k, k * 3);
+            list.insert(k, k * 3);
         }
         for k in (0..KEYS).step_by(2) {
-            list.timed_remove(k);
+            list.remove(k);
         }
         let mut hits = 0;
         for k in 0..KEYS {
-            if list.timed_get(k).is_some() {
+            if list.get(k).is_some() {
                 hits += 1;
             }
         }
@@ -63,11 +62,9 @@ fn main() {
 
     let snap = pool.metrics().snapshot();
     eprintln!(
-        "busy pool: {} flushes / {} fences attributed, {} insert samples (p50 {} ns)",
+        "busy pool: {} flushes / {} fences attributed",
         snap.total_flushes(),
         snap.total_fences(),
-        snap.samples(obs::OpKind::Insert),
-        snap.quantile_ns(obs::OpKind::Insert, 0.5).unwrap_or(0),
     );
 
     list.close().unwrap();
