@@ -31,6 +31,7 @@ use crate::store::{ConnTokens, KvStore};
 use nvtraverse::detect::OpError;
 use nvtraverse_pmem::batch::FenceBatch;
 use nvtraverse_pmem::MmapBackend;
+use nvtraverse_pool::OpId;
 
 /// What one batch cost, for the server's per-batch obs attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +53,25 @@ fn op_error_reply(e: OpError) -> Reply {
     }
 }
 
+fn update_reply(r: Result<bool, OpError>) -> Reply {
+    match r {
+        Ok(true) => Reply::Applied,
+        Ok(false) => Reply::Miss,
+        Err(e) => op_error_reply(e),
+    }
+}
+
+fn detectable_reply(shard: usize, r: Result<(OpId, bool), OpError>) -> Reply {
+    match r {
+        Ok((id, applied)) => Reply::Detectable {
+            applied,
+            shard: shard as u32,
+            op_id: id.to_bits(),
+        },
+        Err(e) => op_error_reply(e),
+    }
+}
+
 /// Executes one *data* operation (the batchable subset) with whatever
 /// fence context the caller established — immediate fences outside a
 /// batch, deferred inside one.
@@ -62,34 +82,21 @@ fn op_error_reply(e: OpError) -> Reply {
 /// nested `Batch`); the protocol decoder never produces one here.
 pub fn exec_data_op(store: &KvStore, tokens: &mut ConnTokens, req: &Request) -> Reply {
     match *req {
-        Request::Get(k) => match store.get(k) {
-            Some(v) => Reply::Value(v),
-            None => Reply::Miss,
-        },
-        Request::Insert(k, v) => match store.try_insert(k, v) {
-            Ok(true) => Reply::Applied,
-            Ok(false) => Reply::Miss,
-            Err(e) => op_error_reply(e),
-        },
-        Request::Remove(k) => match store.try_remove(k) {
-            Ok(true) => Reply::Applied,
-            Ok(false) => Reply::Miss,
-            Err(e) => op_error_reply(e),
-        },
-        Request::InsertDetectable(k, v) => {
-            let shard = store.shard_index_of(k) as u32;
-            match tokens.get_or_claim(store).and_then(|t| store.insert_detectable(t, k, v)) {
-                Ok((id, applied)) => Reply::Detectable { applied, shard, op_id: id.to_bits() },
-                Err(e) => op_error_reply(e),
-            }
-        }
-        Request::RemoveDetectable(k) => {
-            let shard = store.shard_index_of(k) as u32;
-            match tokens.get_or_claim(store).and_then(|t| store.remove_detectable(t, k)) {
-                Ok((id, applied)) => Reply::Detectable { applied, shard, op_id: id.to_bits() },
-                Err(e) => op_error_reply(e),
-            }
-        }
+        Request::Get(k) => store.get(k).map_or(Reply::Miss, Reply::Value),
+        Request::Insert(k, v) => update_reply(store.try_insert(k, v)),
+        Request::Remove(k) => update_reply(store.try_remove(k)),
+        Request::InsertDetectable(k, v) => detectable_reply(
+            store.shard_index_of(k),
+            tokens
+                .get_or_claim(store)
+                .and_then(|t| store.insert_detectable(t, k, v)),
+        ),
+        Request::RemoveDetectable(k) => detectable_reply(
+            store.shard_index_of(k),
+            tokens
+                .get_or_claim(store)
+                .and_then(|t| store.remove_detectable(t, k)),
+        ),
         ref other => panic!("exec_data_op on non-data request {other:?}"),
     }
 }
@@ -103,7 +110,10 @@ pub fn run_batch(
     reqs: &[Request],
 ) -> (Vec<Reply>, BatchStats) {
     let scope = FenceBatch::<MmapBackend>::begin();
-    let replies: Vec<Reply> = reqs.iter().map(|r| exec_data_op(store, tokens, r)).collect();
+    let replies: Vec<Reply> = reqs
+        .iter()
+        .map(|r| exec_data_op(store, tokens, r))
+        .collect();
     let (deferred, fenced) = scope.close_fenced();
     // Nothing above this line may write to the connection: the close just
     // issued the one fence that makes every reply's effect persistent.
@@ -173,16 +183,26 @@ mod tests {
         let (replies, _) = run_batch(
             &store,
             &mut tokens,
-            &[Request::InsertDetectable(1, 10), Request::RemoveDetectable(2)],
+            &[
+                Request::InsertDetectable(1, 10),
+                Request::RemoveDetectable(2),
+            ],
         );
         let (shard, op_id) = match replies[0] {
-            Reply::Detectable { applied: true, shard, op_id } => {
+            Reply::Detectable {
+                applied: true,
+                shard,
+                op_id,
+            } => {
                 assert_eq!(shard as usize, store.shard_index_of(1));
                 (shard, op_id)
             }
             ref other => panic!("unexpected {other:?}"),
         };
-        assert!(matches!(replies[1], Reply::Detectable { applied: false, .. }));
+        assert!(matches!(
+            replies[1],
+            Reply::Detectable { applied: false, .. }
+        ));
         drop(tokens);
         store.close().unwrap();
 

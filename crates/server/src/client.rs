@@ -59,7 +59,10 @@ impl Client {
     /// Connection failures.
     pub fn connect_uds(path: impl AsRef<Path>) -> io::Result<Client> {
         let s = std::os::unix::net::UnixStream::connect(path)?;
-        Ok(Client { stream: Stream::Unix(s), buf: Vec::with_capacity(256) })
+        Ok(Client {
+            stream: Stream::Unix(s),
+            buf: Vec::with_capacity(256),
+        })
     }
 
     /// Connects over TCP.
@@ -70,7 +73,10 @@ impl Client {
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let s = std::net::TcpStream::connect(addr)?;
         let _ = s.set_nodelay(true);
-        Ok(Client { stream: Stream::Tcp(s), buf: Vec::with_capacity(256) })
+        Ok(Client {
+            stream: Stream::Tcp(s),
+            buf: Vec::with_capacity(256),
+        })
     }
 
     /// Writes one request frame without reading the reply (pipelining).
@@ -152,7 +158,10 @@ impl Client {
     ///
     /// Transport errors; `Unsupported`/`Other` on policy or pool errors.
     pub fn insert_detectable(&mut self, key: u64, value: u64) -> io::Result<DetectableAck> {
-        detectable("INSERT_DETECTABLE", self.request(&Request::InsertDetectable(key, value))?)
+        detectable(
+            "INSERT_DETECTABLE",
+            self.request(&Request::InsertDetectable(key, value))?,
+        )
     }
 
     /// Detectable remove.
@@ -161,7 +170,10 @@ impl Client {
     ///
     /// Transport errors; `Unsupported`/`Other` on policy or pool errors.
     pub fn remove_detectable(&mut self, key: u64) -> io::Result<DetectableAck> {
-        detectable("REMOVE_DETECTABLE", self.request(&Request::RemoveDetectable(key))?)
+        detectable(
+            "REMOVE_DETECTABLE",
+            self.request(&Request::RemoveDetectable(key))?,
+        )
     }
 
     /// Classifies a previous detectable op after a server restart.
@@ -260,7 +272,10 @@ impl Client {
 }
 
 fn unexpected(what: &str, reply: &Reply) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("unexpected {what} reply: {reply:?}"))
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("unexpected {what} reply: {reply:?}"),
+    )
 }
 
 fn applied(what: &str, reply: Reply) -> io::Result<bool> {
@@ -274,7 +289,15 @@ fn applied(what: &str, reply: Reply) -> io::Result<bool> {
 
 fn detectable(what: &str, reply: Reply) -> io::Result<DetectableAck> {
     match reply {
-        Reply::Detectable { applied, shard, op_id } => Ok(DetectableAck { applied, shard, op_id }),
+        Reply::Detectable {
+            applied,
+            shard,
+            op_id,
+        } => Ok(DetectableAck {
+            applied,
+            shard,
+            op_id,
+        }),
         Reply::Unsupported => Err(io::Error::new(
             io::ErrorKind::Unsupported,
             format!("{what}: store policy has no detectable ops"),

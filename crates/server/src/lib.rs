@@ -19,10 +19,12 @@
 //!   released together after that fence (group commit — no ack escapes
 //!   before its fence). With per-op fence cost F, a B-op batch costs
 //!   B·(F−1)+1 fences; under SOFT (F = 1) that is exactly 1.
-//! * **Store façade** ([`store`]): policy-erased [`KvStore`] over the
-//!   NVTraverse or SOFT sharded sets, with the policy stamped on disk so
-//!   a restart always reopens what was written. Reopen *is* recovery:
-//!   heap walk, GC, structure rebuild, and op-table classification.
+//! * **Store façade** ([`store`]): [`KvStore`], one trait object over
+//!   the NVTraverse or SOFT sharded set. The operations are implemented
+//!   once, for any shard type; only create/open pick the type, from the
+//!   policy stamped on disk, so a restart always reopens what was written.
+//!   Reopen *is* recovery: heap walk, GC, structure rebuild, and op-table
+//!   classification.
 //! * **Client** ([`client`]): a small synchronous client with a
 //!   send/recv split for pipelining and helpers for every operation.
 //!
@@ -51,4 +53,4 @@ pub use batch::{exec_data_op, run_batch, BatchStats};
 pub use client::{Client, DetectableAck, OutcomeAnswer};
 pub use proto::{Reply, Request};
 pub use server::{Server, ServerConfig};
-pub use store::{ConnTokens, KvStore, NvtShard, PolicyKind, SoftShard};
+pub use store::{ConnTokens, KvStore, PolicyKind};

@@ -295,7 +295,10 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn u8(&mut self) -> Result<u8, ProtoError> {
-        let b = *self.buf.get(self.at).ok_or_else(|| ProtoError("truncated body".into()))?;
+        let b = *self
+            .buf
+            .get(self.at)
+            .ok_or_else(|| ProtoError("truncated body".into()))?;
         self.at += 1;
         Ok(b)
     }
@@ -338,7 +341,9 @@ fn decode_one(c: &mut Cursor<'_>, in_batch: bool) -> Result<Request, ProtoError>
         OP_BATCH if !in_batch => {
             let count = c.u32()? as usize;
             if count > MAX_BATCH {
-                return err(format!("batch of {count} ops exceeds MAX_BATCH ({MAX_BATCH})"));
+                return err(format!(
+                    "batch of {count} ops exceeds MAX_BATCH ({MAX_BATCH})"
+                ));
             }
             let mut subs = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
@@ -363,7 +368,10 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtoError> {
     let mut c = Cursor { buf: body, at: 0 };
     let req = decode_one(&mut c, false)?;
     if c.at != body.len() {
-        return err(format!("{} trailing bytes after request", body.len() - c.at));
+        return err(format!(
+            "{} trailing bytes after request",
+            body.len() - c.at
+        ));
     }
     Ok(req)
 }
@@ -379,7 +387,11 @@ pub fn encode_reply(reply: &Reply, out: &mut Vec<u8>) {
             out.push(ST_OK);
             put_u64(out, v);
         }
-        Reply::Detectable { applied, shard, op_id } => {
+        Reply::Detectable {
+            applied,
+            shard,
+            op_id,
+        } => {
             out.push(if applied { ST_OK } else { ST_MISS });
             put_u32(out, shard);
             put_u64(out, op_id);
@@ -460,7 +472,10 @@ fn decode_reply_one(req: &Request, c: &mut Cursor<'_>) -> Result<Reply, ProtoErr
         Request::Batch(ref subs) => {
             let count = c.u32()? as usize;
             if count != subs.len() {
-                return err(format!("batch reply has {count} entries for {} ops", subs.len()));
+                return err(format!(
+                    "batch reply has {count} entries for {} ops",
+                    subs.len()
+                ));
             }
             let mut replies = Vec::with_capacity(count);
             for sub in subs {
@@ -510,13 +525,33 @@ mod tests {
         round_trip(Request::Remove(1), Reply::Miss);
         round_trip(
             Request::InsertDetectable(3, 4),
-            Reply::Detectable { applied: true, shard: 2, op_id: 0x1_0000_0005 },
+            Reply::Detectable {
+                applied: true,
+                shard: 2,
+                op_id: 0x1_0000_0005,
+            },
         );
-        round_trip(Request::OpOutcome { shard: 1, op_id: 42 }, Reply::Outcome(0));
-        round_trip(Request::OpOutcome { shard: 1, op_id: 42 }, Reply::Unknown);
+        round_trip(
+            Request::OpOutcome {
+                shard: 1,
+                op_id: 42,
+            },
+            Reply::Outcome(0),
+        );
+        round_trip(
+            Request::OpOutcome {
+                shard: 1,
+                op_id: 42,
+            },
+            Reply::Unknown,
+        );
         round_trip(Request::Stats, Reply::Json("{\"ok\":true}".into()));
         round_trip(
-            Request::Batch(vec![Request::Get(1), Request::Insert(2, 3), Request::Remove(4)]),
+            Request::Batch(vec![
+                Request::Get(1),
+                Request::Insert(2, 3),
+                Request::Remove(4),
+            ]),
             Reply::Batch(vec![Reply::Miss, Reply::Applied, Reply::PoolFull]),
         );
     }

@@ -44,7 +44,10 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).min(16),
+            workers: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(2)
+                .min(16),
         }
     }
 }
@@ -157,7 +160,12 @@ impl Server {
                     .expect("spawn acceptor"))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        Ok(Server { shared, acceptors, uds_path, tcp_addr })
+        Ok(Server {
+            shared,
+            acceptors,
+            uds_path,
+            tcp_addr,
+        })
     }
 
     /// The bound TCP address (None for a UDS server).
@@ -225,7 +233,12 @@ impl Server {
     ///
     /// The store close error, if any.
     pub fn shutdown_with(self, drain_timeout: Duration) -> std::io::Result<()> {
-        let Server { shared, acceptors, uds_path, .. } = self;
+        let Server {
+            shared,
+            acceptors,
+            uds_path,
+            ..
+        } = self;
         shared.shutdown.store(true, Ordering::Release);
         for a in acceptors {
             let _ = a.join();
@@ -237,7 +250,12 @@ impl Server {
             std::thread::sleep(Duration::from_millis(2));
         }
         // Unblock handlers parked in `read` on idle connections.
-        for conn in shared.conns.lock().unwrap_or_else(|e| e.into_inner()).drain(..) {
+        for conn in shared
+            .conns
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .drain(..)
+        {
             let _ = conn.shutdown_both();
         }
         let handlers: Vec<_> =
@@ -266,14 +284,22 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
             Ok(stream) => {
                 shared.counters.connections.fetch_add(1, Ordering::Relaxed);
                 if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().unwrap_or_else(|e| e.into_inner()).push(clone);
+                    shared
+                        .conns
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .push(clone);
                 }
                 let shared2 = Arc::clone(shared);
                 let handle = std::thread::Builder::new()
                     .name("kv-conn".into())
                     .spawn(move || handle_conn(&shared2, stream))
                     .expect("spawn handler");
-                shared.handlers.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
+                shared
+                    .handlers
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -305,7 +331,9 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: Stream) {
         let (reply, close_after) = process_request(shared, &mut tokens, &body);
         let mut out = Vec::with_capacity(64);
         proto::encode_reply(&reply, &mut out);
-        let io_ok = proto::write_frame(&mut stream, &out).and_then(|()| stream.flush()).is_ok();
+        let io_ok = proto::write_frame(&mut stream, &out)
+            .and_then(|()| stream.flush())
+            .is_ok();
         drop(guard);
         if !io_ok || close_after || shared.shutdown.load(Ordering::Acquire) {
             break;
@@ -336,7 +364,10 @@ fn process_request(shared: &Arc<Shared>, tokens: &mut ConnTokens, body: &[u8]) -
             (Reply::Applied, true)
         }
         Request::OpOutcome { shard, op_id } => {
-            let reply = match shared.store.op_outcome(shard as usize, OpId::from_bits(op_id)) {
+            let reply = match shared
+                .store
+                .op_outcome(shard as usize, OpId::from_bits(op_id))
+            {
                 Some(OpOutcome::Committed) => Reply::Outcome(0),
                 Some(OpOutcome::NotApplied) => Reply::Outcome(1),
                 Some(OpOutcome::Superseded) => Reply::Outcome(2),
@@ -349,13 +380,18 @@ fn process_request(shared: &Arc<Shared>, tokens: &mut ConnTokens, body: &[u8]) -
             c.ops.fetch_add(stats.ops, Ordering::Relaxed);
             c.batches.fetch_add(1, Ordering::Relaxed);
             c.batched_ops.fetch_add(stats.ops, Ordering::Relaxed);
-            c.deferred_fences.fetch_add(stats.deferred_fences, Ordering::Relaxed);
-            c.closing_batch_fences.fetch_add(stats.closing_fences, Ordering::Relaxed);
+            c.deferred_fences
+                .fetch_add(stats.deferred_fences, Ordering::Relaxed);
+            c.closing_batch_fences
+                .fetch_add(stats.closing_fences, Ordering::Relaxed);
             (Reply::Batch(replies), false)
         }
         ref data_op => {
             c.ops.fetch_add(1, Ordering::Relaxed);
-            (crate::batch::exec_data_op(&shared.store, tokens, data_op), false)
+            (
+                crate::batch::exec_data_op(&shared.store, tokens, data_op),
+                false,
+            )
         }
     }
 }
